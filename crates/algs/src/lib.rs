@@ -17,10 +17,10 @@
 //! Every algorithm ships with a plain sequential oracle used by the tests
 //! and the experiment harness.
 //!
-//! Every §7 algorithm additionally ships in **registered
-//! persistent-capsule form** ([`PrefixSum::pcomp`], [`Merge::pcomp`],
-//! [`MergeSort::pcomp`], [`SampleSort::pcomp`], [`MatMul::pcomp`]): the
-//! same recursions defunctionalized onto the typed `ppm_core::dsl` —
+//! Every §7 algorithm is a **registered persistent-capsule computation**
+//! ([`PrefixSum::pcomp`], [`Merge::pcomp`], [`MergeSort::pcomp`],
+//! [`SampleSort::pcomp`], [`MatMul::pcomp`], [`MatMulRect::pcomp`]): the
+//! recursions are written on the typed `ppm_core::dsl` —
 //! capsule states declared with `persist_struct!`, ids allocated by name
 //! through the registry, frames written by the `fork2`/`jump_to`/
 //! `map_grain` combinators — so a run killed mid-computation (`kill -9`)
@@ -39,5 +39,5 @@ pub mod util;
 
 pub use matmul::{matmul_pool_words, matmul_rect_seq, matmul_seq, MatMul, MatMulRect};
 pub use merge::{merge_seq, Merge};
-pub use prefix::{prefix_sum_seq, PrefixSum};
+pub use prefix::{prefix_pool_words, prefix_sum_seq, PrefixSum};
 pub use sort::{samplesort_pool_words, MergeSort, SampleSort};

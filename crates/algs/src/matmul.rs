@@ -20,7 +20,7 @@
 use std::sync::Arc;
 
 use ppm_core::dsl::{fork_many, CapsuleDef, CapsuleSet, Span, Step, K};
-use ppm_core::{comp_dyn, comp_seq, comp_step, par_all, persist_struct, Comp, Machine, PComp};
+use ppm_core::{persist_struct, Machine, PComp};
 use ppm_pm::{ProcCtx, Region, Word};
 
 use crate::util::{next_pow2, pread_range, pwrite_range};
@@ -75,7 +75,7 @@ fn base_dim(m_eph: usize) -> usize {
 }
 
 /// The base-case body: `c = a·b` for a tile that fits in ephemeral
-/// memory. Shared by both forms.
+/// memory.
 fn mult_base_body(
     ctx: &mut ProcCtx,
     a: MView,
@@ -101,16 +101,7 @@ fn mult_base_body(
     write_view(ctx, c, size, &cv)
 }
 
-/// The base case: one capsule computing `c = a·b` for a tile that fits in
-/// ephemeral memory.
-fn mult_base(a: MView, b: MView, c: MView, size: usize) -> Comp {
-    comp_step("matmul/base", move |ctx: &mut ProcCtx| {
-        mult_base_body(ctx, a, b, c, size)
-    })
-}
-
 /// The elementwise-addition body for rows `[r0, r1)` of `c = t1 + t2`.
-/// Shared by both forms.
 fn add_rows_body(
     ctx: &mut ProcCtx,
     t1: MView,
@@ -128,70 +119,6 @@ fn add_rows_body(
     }
     Ok(())
 }
-
-/// The elementwise addition `c = t1 + t2`, chunked so each capsule fits
-/// the ephemeral memory.
-fn add_views(t1: MView, t2: MView, c: MView, size: usize) -> Comp {
-    comp_dyn("matmul/add", move |ctx: &mut ProcCtx| {
-        let rows_per = (ctx.ephemeral_words() / (4 * size)).max(1);
-        let chunks: Vec<Comp> = (0..size.div_ceil(rows_per))
-            .map(|ch| {
-                comp_step("matmul/add-chunk", move |ctx: &mut ProcCtx| {
-                    let r0 = ch * rows_per;
-                    let r1 = ((ch + 1) * rows_per).min(size);
-                    add_rows_body(ctx, t1, t2, c, size, r0, r1)
-                })
-            })
-            .collect();
-        Ok(par_all(chunks))
-    })
-}
-
-/// Recursive multiply `c = a·b` (`size` is a power of two).
-fn mult_rec(a: MView, b: MView, c: MView, size: usize) -> Comp {
-    comp_dyn("matmul/split", move |ctx: &mut ProcCtx| {
-        if size <= base_dim(ctx.ephemeral_words()) {
-            return Ok(mult_base(a, b, c, size));
-        }
-        let half = size / 2;
-        // Two temporaries, each size×size, from the restart-stable pool.
-        let t1 = MView {
-            region: Region {
-                start: ctx.palloc(size * size),
-                len: size * size,
-            },
-            row0: 0,
-            col0: 0,
-            stride: size,
-        };
-        let t2 = MView {
-            region: Region {
-                start: ctx.palloc(size * size),
-                len: size * size,
-            },
-            row0: 0,
-            col0: 0,
-            stride: size,
-        };
-        // T1 ← first terms, T2 ← second terms of each C quadrant.
-        let mut products = Vec::with_capacity(8);
-        for qi in 0..2 {
-            for qj in 0..2 {
-                let a1 = a.quadrant(qi, 0, half);
-                let b1 = b.quadrant(0, qj, half);
-                products.push(mult_rec(a1, b1, t1.quadrant(qi, qj, half), half));
-                let a2 = a.quadrant(qi, 1, half);
-                let b2 = b.quadrant(1, qj, half);
-                products.push(mult_rec(a2, b2, t2.quadrant(qi, qj, half), half));
-            }
-        }
-        Ok(comp_seq(par_all(products), add_views(t1, t2, c, size)))
-    })
-}
-
-// ====================================================================
-// Registered (typed DSL) matrix multiply
-// ====================================================================
 
 persist_struct! {
     /// One recursive multiply task: `c = a·b` over `size × size` views.
@@ -312,7 +239,7 @@ pub fn matmul_pool_words(n: usize, m_eph: usize) -> usize {
     } else {
         // Temporaries: sum over levels of 2·(nodes)·(size²) = 2n²(2^L − 1)
         // ≈ 2n³/bd, plus fork closures and join cells (tens of words per
-        // node); 3·n³/bd covers both with slack. The registered form also
+        // node); 3·n³/bd covers both with slack. The computation also
         // writes typed frames for the eight products, the fork-pair tree
         // and the per-row add map — ≈ 52·size words per node (frames grew
         // a parent-span provenance word), which sums to ≈ 52·n³/bd² and
@@ -383,18 +310,7 @@ impl MatMul {
         out
     }
 
-    /// The multiplication computation.
-    pub fn comp(&self) -> Comp {
-        let v = |region: Region| MView {
-            region,
-            row0: 0,
-            col0: 0,
-            stride: self.n_pad,
-        };
-        mult_rec(v(self.a), v(self.b), v(self.c), self.n_pad)
-    }
-
-    /// The multiplication as registered persistent capsules, for
+    /// The multiplication computation, for
     /// `ppm_sched::Runtime::run_or_recover`: every recursive product,
     /// fork-pair fan-out node, and addition row is a typed frame, so a
     /// killed run resumes mid-recursion.
@@ -492,9 +408,10 @@ impl MatMulRect {
         out
     }
 
-    /// The multiplication computation.
-    pub fn comp(&self) -> Comp {
-        self.inner.comp()
+    /// The multiplication computation: the square multiply over the
+    /// enclosing padded operands ([`MatMul::pcomp`]).
+    pub fn pcomp(&self) -> PComp {
+        self.inner.pcomp()
     }
 }
 
@@ -561,49 +478,9 @@ mod tests {
         let mm = MatMul::new(rt.machine(), n);
         let (a, b) = (data(1, n), data(2, n));
         mm.load_inputs(rt.machine(), &a, &b);
-        let rep = rt.run_or_replay(&mm.comp());
-        assert!(rep.completed());
-        assert_eq!(mm.read_output(rt.machine()), matmul_seq(&a, &b, n), "n={n}");
-    }
-
-    fn check_registered(n: usize, procs: usize, m_eph: usize, f: FaultConfig) {
-        let rt = runtime_for(n, procs, m_eph, f);
-        let mm = MatMul::new(rt.machine(), n);
-        let (a, b) = (data(5, n), data(6, n));
-        mm.load_inputs(rt.machine(), &a, &b);
         let rep = rt.run_or_recover(&mm.pcomp());
         assert!(rep.completed());
-        assert_eq!(
-            mm.read_output(rt.machine()),
-            matmul_seq(&a, &b, n),
-            "registered n={n}"
-        );
-    }
-
-    #[test]
-    fn registered_tiny_and_recursive() {
-        check_registered(4, 1, 256, FaultConfig::none());
-        check_registered(16, 2, 64, FaultConfig::none());
-    }
-
-    #[test]
-    fn registered_medium_parallel() {
-        check_registered(32, 4, 256, FaultConfig::none());
-    }
-
-    #[test]
-    fn registered_with_soft_faults() {
-        check_registered(16, 2, 64, FaultConfig::soft(0.005, 11));
-    }
-
-    #[test]
-    fn registered_with_hard_fault() {
-        check_registered(
-            24,
-            3,
-            256,
-            FaultConfig::none().with_scheduled_hard_fault(0, 300),
-        );
+        assert_eq!(mm.read_output(rt.machine()), matmul_seq(&a, &b, n), "n={n}");
     }
 
     #[test]
@@ -655,7 +532,7 @@ mod tests {
         let b = data(5, n);
         mm.load_inputs(&m, &eye, &b);
         let rt = Runtime::new(m, SchedConfig::with_slots(1 << 12));
-        let rep = rt.run_or_replay(&mm.comp());
+        let rep = rt.run_or_recover(&mm.pcomp());
         assert!(rep.completed());
         assert_eq!(mm.read_output(rt.machine()), b);
     }
@@ -672,7 +549,7 @@ mod tests {
         let b: Vec<u64> = (0..(kk * nc) as u64).map(|i| (i * 3) % 5).collect();
         mm.load_inputs(&m, &a, &b);
         let rt = Runtime::new(m, SchedConfig::with_slots(1 << 12));
-        let rep = rt.run_or_replay(&mm.comp());
+        let rep = rt.run_or_recover(&mm.pcomp());
         assert!(rep.completed());
         assert_eq!(
             mm.read_output(rt.machine()),
@@ -697,7 +574,7 @@ mod tests {
             let b: Vec<u64> = (0..(kk * nc) as u64).map(|i| (i * 7) % 13).collect();
             mm.load_inputs(&m, &a, &b);
             let rt = Runtime::new(m, SchedConfig::with_slots(1 << 12));
-            let rep = rt.run_or_replay(&mm.comp());
+            let rep = rt.run_or_recover(&mm.pcomp());
             assert!(rep.completed(), "{mr}x{kk}x{nc}");
             assert_eq!(
                 mm.read_output(rt.machine()),
@@ -717,7 +594,7 @@ mod tests {
             let mm = MatMul::new(&m, n);
             mm.load_inputs(&m, &data(1, n), &data(2, n));
             let rt = Runtime::new(m, SchedConfig::with_slots(1 << 13));
-            let rep = rt.run_or_replay(&mm.comp());
+            let rep = rt.run_or_recover(&mm.pcomp());
             assert!(rep.completed());
             rep.stats().total_work()
         };

@@ -1,25 +1,28 @@
 //! Parallel merging (§7, Theorem 7.2).
 //!
-//! "The algorithm conducts dual binary searches of the arrays in parallel
-//! to find the elements ranked {n^{2/3}, 2n^{2/3}, ...} among the set of
-//! keys from both arrays, and recurses on each pair of subarrays until the
-//! base case when there are no more than B elements left. We put each of
-//! the binary searches into a capsule, as well as each base case."
+//! The paper conducts dual binary searches in parallel to find the
+//! elements ranked {n^{2/3}, 2n^{2/3}, ...} among both arrays, recursing
+//! on each pair of subarrays down to base cases of at most B elements,
+//! with each binary search and each base case in its own capsule.
 //!
-//! Split points are written to fresh pool allocations (§4.1), so every
-//! capsule writes to locations disjoint from what it reads — write-after-
-//! read conflict free. A binary-search capsule performs O(log n) word
-//! reads, which is the Theorem 7.2 maximum capsule work; base cases are
-//! O(1) block transfers.
+//! The registered merge ([`Merge::pcomp`], the `msort/merge` capsule it
+//! shares with mergesort) splits *binary* at the median rank instead: one
+//! dual binary search per split capsule, then a fork of the two
+//! sub-merges. A binary split keeps every frame fixed-width, where a
+//! k ≈ n^{1/3}-way split would need a variable-width fan-out frame. A
+//! search capsule performs O(log n) word reads, which is the Theorem 7.2
+//! maximum capsule work; base cases are O(1) block transfers; work stays
+//! O(n/B) plus the split-search terms, and depth is O(log² n).
+//!
+//! Sub-merges write disjoint output ranges and read only their inputs,
+//! so every capsule is write-after-read conflict free.
 
 use std::sync::Arc;
 
 use ppm_core::dsl::K;
 use ppm_core::persist::{Persist, ValueError, WordReader};
-use ppm_core::{comp_dyn, comp_nop, comp_seq, comp_step, par_all, Comp, Machine, PComp};
+use ppm_core::{Machine, PComp};
 use ppm_pm::{Addr, PmResult, ProcCtx, Region, Word};
-
-use crate::util::{ceil_div, pread_range, pwrite_range};
 
 /// A range of a persistent region holding a sorted run of words.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,107 +91,6 @@ pub(crate) fn split_rank(ctx: &mut ProcCtx, a: Run, b: Run, r: usize) -> PmResul
     Ok(lo)
 }
 
-/// The sequential base case: one capsule reading both runs and writing the
-/// merged output range.
-fn merge_base(a: Run, b: Run, out: Region, olo: usize) -> Comp {
-    comp_step("merge/base", move |ctx: &mut ProcCtx| {
-        // Empty runs can sit exactly at a region's end; never form their
-        // address.
-        let av = if a.len() > 0 {
-            pread_range(ctx, a.region.at(a.lo), a.len())?
-        } else {
-            Vec::new()
-        };
-        let bv = if b.len() > 0 {
-            pread_range(ctx, b.region.at(b.lo), b.len())?
-        } else {
-            Vec::new()
-        };
-        let mut merged = Vec::with_capacity(av.len() + bv.len());
-        let (mut i, mut j) = (0, 0);
-        while i < av.len() && j < bv.len() {
-            if av[i] <= bv[j] {
-                merged.push(av[i]);
-                i += 1;
-            } else {
-                merged.push(bv[j]);
-                j += 1;
-            }
-        }
-        merged.extend_from_slice(&av[i..]);
-        merged.extend_from_slice(&bv[j..]);
-        if merged.is_empty() {
-            return Ok(());
-        }
-        pwrite_range(ctx, out.at(olo), &merged)
-    })
-}
-
-/// Merges sorted runs `a` and `b` into `out[olo..olo + |a| + |b|)`.
-/// Reused by mergesort; the public interface is [`Merge`].
-pub(crate) fn merge_runs(a: Run, b: Run, out: Region, olo: usize) -> Comp {
-    comp_dyn("merge/split", move |ctx: &mut ProcCtx| {
-        let n = a.len() + b.len();
-        let bs = base_size(ctx.block_size());
-        if n <= bs {
-            return Ok(merge_base(a, b, out, olo));
-        }
-        // k-way split at ranks i·⌈n/k⌉, k ≈ n^{1/3}.
-        let k = ((n as f64).cbrt().ceil() as usize).clamp(2, n);
-        let piece = ceil_div(n, k);
-        let nsplits = k - 1;
-        // Fresh, restart-stable scratch for the split points.
-        let splits = ctx.palloc(nsplits);
-
-        // Phase 1: the k-1 dual binary searches, in parallel, one capsule
-        // each (O(log n) capsule work).
-        let searches: Vec<Comp> = (0..nsplits)
-            .map(|i| {
-                comp_step("merge/search", move |ctx: &mut ProcCtx| {
-                    let r = ((i + 1) * piece).min(a.len() + b.len());
-                    let sa = split_rank(ctx, a, b, r)?;
-                    ctx.pwrite(splits + i, sa as Word)
-                })
-            })
-            .collect();
-
-        // Phase 2: recurse on each pair of subranges. Each piece's first
-        // capsule reads only its own two boundary words (O(1)).
-        let pieces: Vec<Comp> = (0..k)
-            .map(|i| {
-                comp_dyn("merge/recurse", move |ctx: &mut ProcCtx| {
-                    let n = a.len() + b.len();
-                    let (r0, r1) = ((i * piece).min(n), ((i + 1) * piece).min(n));
-                    let sa0 = if i == 0 {
-                        0
-                    } else {
-                        ctx.pread(splits + (i - 1))? as usize
-                    };
-                    let sa1 = if i + 1 == k {
-                        a.len()
-                    } else {
-                        ctx.pread(splits + i)? as usize
-                    };
-                    let (sb0, sb1) = (r0 - sa0, r1 - sa1);
-                    let sub_a = Run {
-                        region: a.region,
-                        lo: a.lo + sa0,
-                        hi: a.lo + sa1,
-                    };
-                    let sub_b = Run {
-                        region: b.region,
-                        lo: b.lo + sb0,
-                        hi: b.lo + sb1,
-                    };
-                    Ok(merge_runs(sub_a, sub_b, out, olo + r0))
-                })
-            })
-            .collect();
-
-        Ok(comp_seq(par_all(searches), par_all(pieces)))
-    })
-}
-
 /// A merge instance: two sorted input arrays and the output.
 #[derive(Debug, Clone, Copy)]
 pub struct Merge {
@@ -234,29 +136,10 @@ impl Merge {
             .collect()
     }
 
-    /// The merging computation.
-    pub fn comp(&self) -> Comp {
-        if self.la + self.lb == 0 {
-            return comp_nop();
-        }
-        let a = Run {
-            region: self.a,
-            lo: 0,
-            hi: self.la,
-        };
-        let b = Run {
-            region: self.b,
-            lo: 0,
-            hi: self.lb,
-        };
-        merge_runs(a, b, self.out, 0)
-    }
-
-    /// The merge as registered persistent capsules, for
-    /// `ppm_sched::Runtime::run_or_recover` (reuses the mergesort
-    /// family's merge capsule — a binary median-rank split, see
-    /// [`crate::MergeSort::pcomp`]'s notes). An empty merge's root is the
-    /// finale itself.
+    /// The merging computation, for `ppm_sched::Runtime::run_or_recover`
+    /// (reuses the mergesort family's merge capsule — the binary
+    /// median-rank split described in the module docs). An empty merge's
+    /// root is the finale itself.
     pub fn pcomp(&self) -> PComp {
         let s = *self;
         Arc::new(move |machine: &Machine, finale: Word| {
@@ -335,7 +218,7 @@ mod tests {
         let mg = Merge::new(rt.machine(), la, lb);
         let (a, b) = (sorted(1, la), sorted(2, lb));
         mg.load_inputs(rt.machine(), &a, &b);
-        let rep = rt.run_or_replay(&mg.comp());
+        let rep = rt.run_or_recover(&mg.pcomp());
         assert!(rep.completed());
         assert_eq!(
             mg.read_output(rt.machine()),
@@ -344,36 +227,9 @@ mod tests {
         );
     }
 
-    fn check_registered(la: usize, lb: usize, procs: usize, f: FaultConfig) {
-        let rt = runtime(procs, f);
-        let mg = Merge::new(rt.machine(), la, lb);
-        let (a, b) = (sorted(3, la), sorted(4, lb));
-        mg.load_inputs(rt.machine(), &a, &b);
-        let rep = rt.run_or_recover(&mg.pcomp());
-        assert!(rep.completed());
-        assert_eq!(
-            mg.read_output(rt.machine()),
-            merge_seq(&a, &b),
-            "registered la={la} lb={lb}"
-        );
-    }
-
-    #[test]
-    fn registered_merge_matches_oracle() {
-        check_registered(0, 0, 1, FaultConfig::none());
-        check_registered(0, 5, 1, FaultConfig::none());
-        check_registered(16, 16, 1, FaultConfig::none());
-        check_registered(1000, 10, 2, FaultConfig::none());
-        check_registered(1 << 11, 1 << 11, 4, FaultConfig::none());
-    }
-
-    #[test]
-    fn registered_merge_with_soft_faults() {
-        check_registered(400, 400, 2, FaultConfig::soft(0.005, 13));
-    }
-
     #[test]
     fn tiny_and_base_cases() {
+        check(0, 0, 1, FaultConfig::none());
         check(0, 5, 1, FaultConfig::none());
         check(5, 0, 1, FaultConfig::none());
         check(3, 3, 1, FaultConfig::none());
@@ -399,7 +255,7 @@ mod tests {
         let mut b = vec![5u64; 300];
         b[299] = 6;
         mg.load_inputs(rt.machine(), &a, &b);
-        let rep = rt.run_or_replay(&mg.comp());
+        let rep = rt.run_or_recover(&mg.pcomp());
         assert!(rep.completed());
         assert_eq!(mg.read_output(rt.machine()), merge_seq(&a, &b));
     }
@@ -427,7 +283,7 @@ mod tests {
             let rt = runtime(1, FaultConfig::none());
             let mg = Merge::new(rt.machine(), n, n);
             mg.load_inputs(rt.machine(), &sorted(1, n), &sorted(2, n));
-            let rep = rt.run_or_replay(&mg.comp());
+            let rep = rt.run_or_recover(&mg.pcomp());
             assert!(rep.completed());
             rep.stats().total_work()
         };
@@ -445,7 +301,7 @@ mod tests {
         let n = 1 << 12;
         let mg = Merge::new(rt.machine(), n, n);
         mg.load_inputs(rt.machine(), &sorted(1, n), &sorted(2, n));
-        let rep = rt.run_or_replay(&mg.comp());
+        let rep = rt.run_or_recover(&mg.pcomp());
         assert!(rep.completed());
         // O(log n): 2 reads per bisection step + constants; log2(8192)=13.
         assert!(

@@ -12,10 +12,9 @@
 //! work is O(1); the tree gives O(n/B) work and O(log n) depth —
 //! Theorem 7.1 exactly. Inclusive sums: `out[i] = Σ_{j ≤ i} a[j]`.
 //!
-//! The algorithm ships in two forms: the closure form ([`PrefixSum::comp`])
-//! and the registered persistent form ([`PrefixSum::pcomp`]), built on the
-//! typed `ppm_core::dsl` — three capsules whose frames carry the instance
-//! geometry ([`PrefixSum`] itself implements
+//! The computation ([`PrefixSum::pcomp`]) is built on the typed
+//! `ppm_core::dsl` — three registered capsules whose frames carry the
+//! instance geometry ([`PrefixSum`] itself implements
 //! [`ppm_core::persist::Persist`]), so any number of instances
 //! coexist under the registry-allocated ids and a crashed run resumes
 //! mid-tree.
@@ -24,7 +23,7 @@ use std::sync::Arc;
 
 use ppm_core::dsl::{fork2, CapsuleDef, CapsuleSet, Step, K};
 use ppm_core::persist::{Persist, ValueError, WordReader};
-use ppm_core::{comp_dyn, comp_fork2, comp_seq, comp_step, persist_struct, Comp, Machine, PComp};
+use ppm_core::{persist_struct, Machine, PComp};
 use ppm_pm::{PmResult, ProcCtx, Region, Word};
 
 use crate::util::{ceil_div, next_pow2, pread_range, pwrite_range};
@@ -173,69 +172,6 @@ impl PrefixSum {
         pwrite_range(ctx, self.output.at(lo), &out)
     }
 
-    /// The up-sweep computation for `node` covering leaves `[llo, lhi)`.
-    fn upsweep(self, node: usize, llo: usize, lhi: usize) -> Comp {
-        if lhi - llo == 1 {
-            // Leaf: sum one input block, store at sums[node].
-            comp_step("prefix/up-leaf", move |ctx: &mut ProcCtx| {
-                let sum = self.up_leaf_sum(ctx, llo)?;
-                ctx.pwrite(self.sums.at(node), sum)
-            })
-        } else {
-            let mid = llo + (lhi - llo) / 2;
-            let (lc, rc) = (2 * node + 1, 2 * node + 2);
-            let combine = comp_step("prefix/up-combine", move |ctx: &mut ProcCtx| {
-                let l = ctx.pread(self.sums.at(lc))?;
-                let r = ctx.pread(self.sums.at(rc))?;
-                ctx.pwrite(self.sums.at(node), l.wrapping_add(r))
-            });
-            comp_seq(
-                comp_fork2(self.upsweep(lc, llo, mid), self.upsweep(rc, mid, lhi)),
-                combine,
-            )
-        }
-    }
-
-    /// The down-sweep computation: `t` is the sum of all elements left of
-    /// this subtree.
-    fn downsweep(self, node: usize, llo: usize, lhi: usize, t: Word) -> Comp {
-        if lhi - llo == 1 {
-            comp_step("prefix/down-leaf", move |ctx: &mut ProcCtx| {
-                self.down_leaf_body(ctx, llo, t)
-            })
-        } else {
-            // Read the left child's sum, then recurse in parallel with the
-            // appropriate offsets (the read and the fork are one dynamic-
-            // expansion capsule: one read plus the fork's constant work).
-            comp_dyn("prefix/down-split", move |ctx: &mut ProcCtx| {
-                let mid = llo + (lhi - llo) / 2;
-                let (lc, rc) = (2 * node + 1, 2 * node + 2);
-                let left_sum = ctx.pread(self.sums.at(lc))?;
-                Ok(comp_fork2(
-                    self.downsweep(lc, llo, mid, t),
-                    self.downsweep(rc, mid, lhi, t.wrapping_add(left_sum)),
-                ))
-            })
-        }
-    }
-
-    /// The full prefix-sum computation (up-sweep, then down-sweep).
-    pub fn comp(&self) -> Comp {
-        let s = *self;
-        let up = comp_dyn("prefix/up", move |_ctx| Ok(s.upsweep(0, 0, s.leaves)));
-        let down = comp_dyn(
-            "prefix/down",
-            move |_ctx| Ok(s.downsweep(0, 0, s.leaves, 0)),
-        );
-        comp_seq(up, down)
-    }
-
-    /// Convenience wrapper: an `Arc`'d comp for storage in harnesses.
-    pub fn comp_arc(&self) -> Arc<dyn Fn() -> Comp + Send + Sync> {
-        let s = *self;
-        Arc::new(move || s.comp())
-    }
-
     /// The computation as registered persistent capsules, for
     /// `ppm_sched::Runtime::run_or_recover`. Declares the
     /// `PrefixCapsules` family; frames carry the instance's full
@@ -274,10 +210,6 @@ impl PrefixSum {
     }
 }
 
-// ====================================================================
-// Registered persistent-capsule form (typed DSL)
-// ====================================================================
-
 persist_struct! {
     /// Up-sweep node state: instance geometry plus the node's heap index
     /// and leaf span.
@@ -310,10 +242,9 @@ persist_struct! {
     }
 }
 
-/// The prefix-sum capsule family — the defunctionalized twin of
-/// [`PrefixSum::comp`] on the typed DSL. Each tree node is a frame whose
-/// state is the instance geometry plus the node coordinates, which is
-/// what lets a recovering session resume a killed run mid-tree.
+/// The prefix-sum capsule family on the typed DSL. Each tree node is a
+/// frame whose state is the instance geometry plus the node coordinates,
+/// which is what lets a recovering session resume a killed run mid-tree.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PrefixCapsules {
     up: CapsuleDef<UpState>,
@@ -438,6 +369,16 @@ impl PrefixCapsules {
     }
 }
 
+/// Recommended per-processor pool words for a prefix sum over `n`
+/// elements with block size `b` (worst case: one processor expands every
+/// tree node). Each interior node of the up- and down-sweep writes its
+/// typed frames, join cell and join-arrival frames from the pool — about
+/// 125 words per leaf block. Checkpoint GC reclaims little of that: a
+/// sweep's frames stay live until its joins complete.
+pub fn prefix_pool_words(n: usize, b: usize) -> usize {
+    128 * next_pow2(ceil_div(n.max(1), b.max(1))) + (1 << 12)
+}
+
 /// Sequential oracle: inclusive prefix sums with wrapping addition.
 pub fn prefix_sum_seq(input: &[Word]) -> Vec<Word> {
     let mut acc = 0u64;
@@ -468,7 +409,7 @@ mod tests {
         let ps = PrefixSum::new(rt.machine(), n);
         let data: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(7) % 1000).collect();
         ps.load_input(rt.machine(), &data);
-        let rep = rt.run_or_replay(&ps.comp());
+        let rep = rt.run_or_recover(&ps.pcomp());
         assert!(rep.completed());
         assert_eq!(
             ps.read_output(rt.machine()),
@@ -514,7 +455,7 @@ mod tests {
             let rt = runtime(1, FaultConfig::none());
             let ps = PrefixSum::new(rt.machine(), n);
             ps.load_input(rt.machine(), &vec![1u64; n]);
-            let rep = rt.run_or_replay(&ps.comp());
+            let rep = rt.run_or_recover(&ps.pcomp());
             assert!(rep.completed());
             rep.stats().total_work()
         };
@@ -531,13 +472,38 @@ mod tests {
         let rt = runtime(1, FaultConfig::none());
         let ps = PrefixSum::new(rt.machine(), 1 << 10);
         ps.load_input(rt.machine(), &vec![1u64; 1 << 10]);
-        let rep = rt.run_or_replay(&ps.comp());
+        let rep = rt.run_or_recover(&ps.pcomp());
         assert!(rep.completed());
         assert!(
             rep.stats().max_capsule_work <= 12,
             "C = {} should be O(1)",
             rep.stats().max_capsule_work
         );
+    }
+
+    #[test]
+    fn pool_sizing_covers_the_peak_watermark() {
+        for b in [4usize, 8] {
+            for n in [1usize << 10, 1 << 12, 1 << 14] {
+                let words = prefix_pool_words(n, b);
+                let rt = Runtime::new(
+                    Machine::with_pool_words(
+                        PmConfig::parallel(1, 1 << 23).with_block_size(b),
+                        words,
+                    ),
+                    SchedConfig::with_slots(1 << 13),
+                );
+                let ps = PrefixSum::new(rt.machine(), n);
+                ps.load_input(rt.machine(), &vec![1u64; n]);
+                assert!(rt.run_or_recover(&ps.pcomp()).completed());
+                let wm = rt.machine().pool_watermark(0);
+                assert!(wm <= words, "n={n} B={b}: watermark {wm} > budget {words}");
+                assert!(
+                    2 * wm > words,
+                    "n={n} B={b}: budget {words} is over twice the watermark {wm}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -556,35 +522,6 @@ mod tests {
         assert_eq!(back.input, ps.input);
         assert_eq!(back.sums, ps.sums);
         assert_eq!(back.leaves, ps.leaves, "derived field recomputed");
-    }
-
-    fn check_registered(n: usize, procs: usize, f: FaultConfig) {
-        let rt = runtime(procs, f);
-        let ps = PrefixSum::new(rt.machine(), n);
-        let data: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(13) % 997).collect();
-        ps.load_input(rt.machine(), &data);
-        let rep = rt.run_or_recover(&ps.pcomp());
-        assert!(rep.completed());
-        assert_eq!(
-            ps.read_output(rt.machine()),
-            prefix_sum_seq(&data),
-            "registered n={n} P={procs}"
-        );
-    }
-
-    #[test]
-    fn registered_form_matches_oracle() {
-        for n in [1usize, 8, 17, 257] {
-            check_registered(n, 1, FaultConfig::none());
-        }
-        check_registered(1 << 12, 4, FaultConfig::none());
-    }
-
-    #[test]
-    fn registered_form_with_soft_faults() {
-        for seed in 0..3 {
-            check_registered(300, 2, FaultConfig::soft(0.01, seed));
-        }
     }
 
     #[test]
@@ -606,14 +543,5 @@ mod tests {
         assert!(rt.run_or_recover(&ps2.pcomp()).completed());
         assert_eq!(ps1.read_output(rt.machine()), prefix_sum_seq(&d1));
         assert_eq!(ps2.read_output(rt.machine()), prefix_sum_seq(&d2));
-    }
-
-    #[test]
-    fn registered_form_with_a_hard_fault() {
-        check_registered(
-            512,
-            3,
-            FaultConfig::none().with_scheduled_hard_fault(1, 150),
-        );
     }
 }

@@ -10,23 +10,22 @@
 //! first fault — see `exp_cam_vs_cas`.)
 
 use ppm_bench::{banner, f2, header, row, s, BenchReport};
-use ppm_core::{comp_step, par_all, Comp, Machine};
-use ppm_pm::{PmConfig, ProcCtx, Region, ValidateMode};
+use ppm_core::{par_for, Machine, PComp};
+use ppm_pm::{PmConfig, Region, ValidateMode};
 use ppm_sched::abp::run_computation_abp;
 use ppm_sched::{Runtime, SchedConfig};
 
-fn tasks(r: Region, n: usize, leaf_work: usize) -> Comp {
-    par_all(
-        (0..n)
-            .map(|i| {
-                comp_step("leaf", move |ctx: &mut ProcCtx| {
-                    for k in 0..leaf_work {
-                        ctx.pwrite(r.at(i * leaf_work + k), 1)?;
-                    }
-                    Ok(())
-                })
-            })
-            .collect(),
+fn tasks(r: Region, n: usize, leaf_work: usize) -> PComp {
+    par_for(
+        "leaf",
+        (r, leaf_work),
+        n,
+        |(r, w): &(Region, usize), i, ctx| {
+            for k in 0..*w {
+                ctx.pwrite(r.at(i * w + k), 1)?;
+            }
+            Ok(())
+        },
     )
 }
 
@@ -53,7 +52,7 @@ fn main() {
             let m = Machine::new(cfg());
             let r = m.alloc_region(n * leaf_work);
             let rt = Runtime::new(m, SchedConfig::with_slots(1 << 13));
-            let rep = rt.run_or_replay(&tasks(r, n, leaf_work));
+            let rep = rt.run_or_recover(&tasks(r, n, leaf_work));
             assert!(rep.completed());
             last_scrape = rt.machine().obs().registry().render();
             rep.stats().total_work()

@@ -10,33 +10,60 @@
 //! per fault and violates `f ≤ 1/(2C)` sooner. The table exposes the
 //! U-shape and its movement with `f`.
 
+use std::sync::Arc;
+
 use ppm_bench::{banner, f2, header, row, s, BenchReport};
-use ppm_core::{comp_step, seq_all, Comp, Machine};
-use ppm_pm::{FaultConfig, PmConfig, ProcCtx, Region};
+use ppm_core::dsl::{CapsuleSet, Step, K};
+use ppm_core::{persist_struct, Machine, PComp};
+use ppm_pm::{FaultConfig, PmConfig, Region};
 use ppm_sched::{Runtime, SchedConfig};
 
-/// The workload: copy `nblocks` blocks from `src` to `dst`, `k` blocks per
-/// capsule.
-fn chunked_copy(src: Region, dst: Region, nblocks: usize, b: usize, k: usize) -> Comp {
-    seq_all(
-        (0..nblocks.div_ceil(k))
-            .map(|c| {
-                comp_step("chunk", move |ctx: &mut ProcCtx| {
-                    let lo = c * k;
-                    let hi = ((c + 1) * k).min(nblocks);
-                    for blk in lo..hi {
-                        let mut buf = vec![0u64; b];
-                        ctx.read_block_into(src.at(blk * b), &mut buf)?;
-                        for w in buf.iter_mut() {
-                            *w = w.wrapping_mul(3).wrapping_add(1);
-                        }
-                        ctx.write_block(dst.at(blk * b), &buf)?;
-                    }
-                    Ok(())
-                })
+persist_struct! {
+    /// Chunk `c` of the copy: blocks `[c·per, (c+1)·per)` of `nblocks`.
+    struct Chunk {
+        src: Region,
+        dst: Region,
+        nblocks: usize,
+        b: usize,
+        per: usize,
+        c: usize,
+    }
+}
+
+/// The workload: copy `nblocks` blocks from `src` to `dst`, `per` blocks
+/// per capsule — a chain of chunk frames written at setup, each
+/// continuing with the next.
+fn chunked_copy(src: Region, dst: Region, nblocks: usize, b: usize, per: usize) -> PComp {
+    Arc::new(move |m: &Machine, finale| {
+        let mut set = CapsuleSet::new(m);
+        let chunk = set.define("chunk", |st: &Chunk, k, ctx| {
+            let lo = st.c * st.per;
+            let hi = ((st.c + 1) * st.per).min(st.nblocks);
+            for blk in lo..hi {
+                let mut buf = vec![0u64; st.b];
+                ctx.read_block_into(st.src.at(blk * st.b), &mut buf)?;
+                for w in buf.iter_mut() {
+                    *w = w.wrapping_mul(3).wrapping_add(1);
+                }
+                ctx.write_block(st.dst.at(blk * st.b), &buf)?;
+            }
+            Ok(Step::Jump(k))
+        });
+        (0..nblocks.div_ceil(per))
+            .rev()
+            .fold(K(finale), |next, c| {
+                let st = Chunk {
+                    src,
+                    dst,
+                    nblocks,
+                    b,
+                    per,
+                    c,
+                };
+                chunk.setup(m, &st, next)
             })
-            .collect(),
-    )
+            .0
+    })
 }
 
 const W: [usize; 7] = [6, 7, 8, 10, 10, 9, 9];
@@ -71,7 +98,7 @@ fn main() {
                 m.mem().store(src.at(i), i as u64);
             }
             let rt = Runtime::new(m, SchedConfig::with_slots(1 << 11));
-            let rep = rt.run_or_replay(&chunked_copy(src, dst, nblocks, b, k));
+            let rep = rt.run_or_recover(&chunked_copy(src, dst, nblocks, b, k));
             assert!(rep.completed(), "k={k} f={f}");
             // Verify the copy.
             for i in 0..nblocks * b {

@@ -12,31 +12,25 @@
 use std::time::{Duration, Instant};
 
 use ppm_bench::{banner, f2, header, row, s, BenchReport};
-use ppm_core::{comp_step, par_all, Comp, Machine};
-use ppm_pm::{PmConfig, ProcCtx, Region};
+use ppm_core::{par_for, Machine, PComp};
+use ppm_pm::{PmConfig, Region};
 use ppm_sched::{Runtime, SchedConfig};
 
 const PROCS: usize = 4;
 const WORDS: usize = 1 << 21;
 const TRIALS: usize = 5;
 
-fn build_comp(out: Region, n: usize) -> Comp {
-    par_all(
-        (0..n)
-            .map(|i| {
-                comp_step("work", move |ctx: &mut ProcCtx| {
-                    // A read-modify-chain per task: real external traffic. The
-                    // read stride 17 is odd and n is a power of two, so a
-                    // task never reads the cell it writes (conflict free).
-                    let mut acc = 0u64;
-                    for k in 1..=32 {
-                        acc = acc.wrapping_add(ctx.pread(out.at((i + k * 17) % n))?);
-                    }
-                    ctx.pwrite(out.at(i), acc.wrapping_add(i as u64 + 1))
-                })
-            })
-            .collect(),
-    )
+fn build_comp(out: Region, n: usize) -> PComp {
+    par_for("work", (out, n), n, |(out, n): &(Region, usize), i, ctx| {
+        // A read-modify-chain per task: real external traffic. The read
+        // stride 17 is odd and n is a power of two, so a task never reads
+        // the cell it writes (conflict free).
+        let mut acc = 0u64;
+        for k in 1..=32 {
+            acc = acc.wrapping_add(ctx.pread(out.at((i + k * 17) % n))?);
+        }
+        ctx.pwrite(out.at(i), acc.wrapping_add(i as u64 + 1))
+    })
 }
 
 struct Measured {
@@ -89,7 +83,7 @@ fn run_trials(cli: &ppm_bench::cli::Cli, n: usize, durable: bool, observed: bool
             None
         };
         let start = Instant::now();
-        let rep = rt.run_or_replay(&comp);
+        let rep = rt.run_or_recover(&comp);
         let elapsed = start.elapsed();
         run_total += elapsed;
         run_min = run_min.min(elapsed);

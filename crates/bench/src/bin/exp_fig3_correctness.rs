@@ -6,29 +6,53 @@
 //! task, deque structural invariants (checked by the driver), and the
 //! Figure 4 transition table (checked by a memory observer).
 
+use std::sync::Arc;
+
 use ppm_bench::{banner, header, row, s, BenchReport};
-use ppm_core::{comp_dyn, comp_fork2, comp_nop, comp_step, Comp, Machine};
-use ppm_pm::{FaultConfig, PmConfig, ProcCtx, Region};
+use ppm_core::dsl::{fork2, CapsuleSet, Step, K};
+use ppm_core::{persist_struct, Machine, PComp};
+use ppm_pm::{FaultConfig, PmConfig, Region};
 use ppm_sched::{Runtime, SchedConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A random binary fork-join DAG over tasks [lo, hi): random split points
+persist_struct! {
+    /// One node of the random DAG: tasks `[lo, hi)` of `r`.
+    struct DagNode {
+        r: Region,
+        lo: usize,
+        hi: usize,
+        seed: u64,
+    }
+}
+
+/// A random binary fork-join DAG over tasks [0, n): random split points
 /// give irregular shapes.
-fn random_dag(r: Region, lo: usize, hi: usize, seed: u64) -> Comp {
-    if hi - lo == 0 {
-        return comp_nop();
-    }
-    if hi - lo == 1 {
-        return comp_step("leaf", move |ctx: &mut ProcCtx| ctx.pwrite(r.at(lo), 1));
-    }
-    comp_dyn("node", move |_ctx| {
-        let mut rng = StdRng::seed_from_u64(seed ^ ((lo as u64) << 32) ^ hi as u64);
-        let mid = rng.gen_range(lo + 1..hi);
-        Ok(comp_fork2(
-            random_dag(r, lo, mid, seed),
-            random_dag(r, mid, hi, seed),
-        ))
+fn random_dag(r: Region, n: usize, seed: u64) -> PComp {
+    Arc::new(move |m: &Machine, finale| {
+        let mut set = CapsuleSet::new(m);
+        let node = set.declare::<DagNode>("node");
+        set.body(node, move |st: &DagNode, k, ctx| match st.hi - st.lo {
+            0 => Ok(Step::Jump(k)),
+            1 => {
+                ctx.pwrite(st.r.at(st.lo), 1)?;
+                Ok(Step::Jump(k))
+            }
+            _ => {
+                let (lo, hi) = (st.lo, st.hi);
+                let mut rng = StdRng::seed_from_u64(st.seed ^ ((lo as u64) << 32) ^ hi as u64);
+                let mid = rng.gen_range(lo + 1..hi);
+                let half = |lo, hi| DagNode { lo, hi, ..*st };
+                fork2(ctx, (node, &half(lo, mid)), (node, &half(mid, hi)), k)
+            }
+        });
+        let root = DagNode {
+            r,
+            lo: 0,
+            hi: n,
+            seed,
+        };
+        node.setup(m, &root, K(finale)).0
     })
 }
 
@@ -77,7 +101,7 @@ fn main() {
             cfg.check_transitions = true;
             cfg.seed = seed;
             let rt = Runtime::new(m, cfg);
-            let rep = rt.run_or_replay(&random_dag(r, 0, n, seed));
+            let rep = rt.run_or_recover(&random_dag(r, n, seed));
             deaths += rep.dead_procs() as u64;
             if rep.completed() {
                 completed += 1;

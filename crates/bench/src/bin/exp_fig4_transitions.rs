@@ -9,8 +9,8 @@
 use std::sync::{Arc, Mutex};
 
 use ppm_bench::{banner, BenchReport};
-use ppm_core::{comp_step, par_all, DoneFlag, Machine};
-use ppm_pm::{FaultConfig, PmConfig, ProcCtx};
+use ppm_core::{par_for, DoneFlag, Machine};
+use ppm_pm::{FaultConfig, PmConfig, Region};
 use ppm_sched::{kind_of, run_root_on, EntryKind, Sched, SchedConfig};
 
 fn kind_index(k: EntryKind) -> usize {
@@ -36,13 +36,8 @@ fn main() {
     );
     let n = cli.n(160);
     let r = machine.alloc_region(n);
-    let comp = par_all(
-        (0..n)
-            .map(|i| comp_step("leaf", move |ctx: &mut ProcCtx| ctx.pwrite(r.at(i), 1)))
-            .collect(),
-    );
+    let comp = par_for("leaf", r, n, |r: &Region, i, ctx| ctx.pwrite(r.at(i), 1));
     let done = DoneFlag::new(&machine);
-    let root = comp(done.finale());
 
     // Build the scheduler first so the deque regions are known, then
     // attach the counting observer, then run on that same scheduler.
@@ -65,7 +60,7 @@ fn main() {
             })));
     }
 
-    let report = run_root_on(&machine, &sched, root, done);
+    let report = run_root_on(&machine, &sched, &comp, done);
     assert!(report.completed);
     for i in 0..n {
         assert_eq!(machine.mem().load(r.at(i)), 1, "task {i}");

@@ -8,23 +8,17 @@
 //! work-queue and then finishing" — i.e. cheap.
 
 use ppm_bench::{banner, f2, header, row, s, BenchReport};
-use ppm_core::{comp_step, par_all, Comp, Machine};
-use ppm_pm::{FaultConfig, PmConfig, ProcCtx, Region};
+use ppm_core::{par_for, Machine, PComp};
+use ppm_pm::{FaultConfig, PmConfig, Region};
 use ppm_sched::{Runtime, SchedConfig};
 
-fn tasks(r: Region, n: usize) -> Comp {
-    par_all(
-        (0..n)
-            .map(|i| {
-                comp_step("leaf", move |ctx: &mut ProcCtx| {
-                    for k in 0..8 {
-                        ctx.pwrite(r.at(i * 8 + k), 1)?;
-                    }
-                    Ok(())
-                })
-            })
-            .collect(),
-    )
+fn tasks(r: Region, n: usize) -> PComp {
+    par_for("leaf", r, n, |r: &Region, i, ctx| {
+        for k in 0..8 {
+            ctx.pwrite(r.at(i * 8 + k), 1)?;
+        }
+        Ok(())
+    })
 }
 
 const W: [usize; 6] = [4, 6, 10, 10, 10, 10];
@@ -47,7 +41,7 @@ fn main() {
         let m = Machine::new(PmConfig::parallel(p, 1 << 23));
         let r = m.alloc_region(n * 8);
         let rt = Runtime::new(m, SchedConfig::with_slots(1 << 12));
-        let rep = rt.run_or_replay(&tasks(r, n));
+        let rep = rt.run_or_recover(&tasks(r, n));
         assert!(rep.completed());
         row(
             &[
@@ -72,7 +66,7 @@ fn main() {
         let m = Machine::new(PmConfig::parallel(p, 1 << 23).with_fault(cfg));
         let r = m.alloc_region(n * 8);
         let rt = Runtime::new(m, SchedConfig::with_slots(1 << 12));
-        let rep = rt.run_or_replay(&tasks(r, n));
+        let rep = rt.run_or_recover(&tasks(r, n));
         let verified = (0..n * 8).all(|i| rt.machine().mem().load(r.at(i)) == 1);
         row(
             &[
@@ -112,7 +106,7 @@ fn main() {
         );
         let r = m.alloc_region(n * 8);
         let rt = Runtime::new(m, SchedConfig::with_slots(1 << 12));
-        let rep = rt.run_or_replay(&tasks(r, n));
+        let rep = rt.run_or_recover(&tasks(r, n));
         assert!(rep.completed(), "seed {seed}");
         ratios.push(rep.stats().total_work() as f64 / w_baseline as f64);
         last_scrape = rt.machine().obs().registry().render();

@@ -8,23 +8,22 @@
 //!     ⌈log_{1/(Cf)} W⌉ depth-inflation factor.
 
 use ppm_bench::{banner, f2, header, row, s, BenchReport};
-use ppm_core::{comp_step, par_all, Comp, Machine};
-use ppm_pm::{FaultConfig, PmConfig, ProcCtx, Region};
+use ppm_core::{par_for, Machine, PComp};
+use ppm_pm::{FaultConfig, PmConfig, Region};
 use ppm_sched::{Runtime, SchedConfig, VictimStrategy};
 
 /// A balanced tree of `n` leaf tasks, each performing `leaf_work` writes.
-fn balanced(r: Region, n: usize, leaf_work: usize) -> Comp {
-    par_all(
-        (0..n)
-            .map(|i| {
-                comp_step("leaf", move |ctx: &mut ProcCtx| {
-                    for k in 0..leaf_work {
-                        ctx.pwrite(r.at(i * leaf_work + k), 1)?;
-                    }
-                    Ok(())
-                })
-            })
-            .collect(),
+fn balanced(r: Region, n: usize, leaf_work: usize) -> PComp {
+    par_for(
+        "leaf",
+        (r, leaf_work),
+        n,
+        |(r, w): &(Region, usize), i, ctx| {
+            for k in 0..*w {
+                ctx.pwrite(r.at(i * w + k), 1)?;
+            }
+            Ok(())
+        },
     )
 }
 
@@ -55,7 +54,7 @@ fn main() {
         let m = Machine::new(PmConfig::parallel(p, 1 << 23));
         let r = m.alloc_region(n * leaf_work);
         let rt = Runtime::new(m, SchedConfig::with_slots(1 << 12));
-        let rep = rt.run_or_replay(&balanced(r, n, leaf_work));
+        let rep = rt.run_or_recover(&balanced(r, n, leaf_work));
         assert!(rep.completed());
         let t = rep.stats().time();
         if p == 1 {
@@ -90,7 +89,7 @@ fn main() {
         let m = Machine::new(PmConfig::parallel(4, 1 << 23).with_fault(cfg));
         let r = m.alloc_region(n * leaf_work);
         let rt = Runtime::new(m, SchedConfig::with_slots(1 << 12));
-        let rep = rt.run_or_replay(&balanced(r, n, leaf_work));
+        let rep = rt.run_or_recover(&balanced(r, n, leaf_work));
         assert!(rep.completed());
         last_scrape = rt.machine().obs().registry().render();
         if f == 0.0 {
@@ -136,7 +135,7 @@ fn main() {
             ..SchedConfig::with_slots(1 << 13)
         };
         let rt = Runtime::new(m, cfg);
-        let rep = rt.run_or_replay(&balanced(r, tasks, 1));
+        let rep = rt.run_or_recover(&balanced(r, tasks, 1));
         assert!(rep.completed());
         let live = rt.machine().obs().registry().histogram(
             "ppm_steal_backoff_us",
@@ -182,7 +181,7 @@ fn main() {
         let m = Machine::new(PmConfig::parallel(2, 1 << 23).with_fault(FaultConfig::soft(f, 3)));
         let r = m.alloc_region(n * leaf_work);
         let rt = Runtime::new(m, SchedConfig::with_slots(1 << 12));
-        let rep = rt.run_or_replay(&balanced(r, n, leaf_work));
+        let rep = rt.run_or_recover(&balanced(r, n, leaf_work));
         assert!(rep.completed());
         let sx = rep.stats();
         let c = sx.max_capsule_work.max(1) as f64;

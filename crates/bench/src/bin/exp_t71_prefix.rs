@@ -5,7 +5,7 @@
 //! constant), the measured maximum capsule work (should be flat), and a
 //! faulty run verified against the oracle.
 
-use ppm_algs::{prefix_sum_seq, PrefixSum};
+use ppm_algs::{prefix_pool_words, prefix_sum_seq, PrefixSum};
 use ppm_bench::{banner, f2, header, row, s, BenchReport};
 use ppm_core::Machine;
 use ppm_pm::{FaultConfig, PmConfig};
@@ -19,16 +19,17 @@ fn run_case(n: usize, b: usize, f: f64, scrape: &mut String) -> (f64, u64) {
     } else {
         FaultConfig::soft(f, 31)
     };
-    let m = Machine::new(
+    let m = Machine::with_pool_words(
         PmConfig::parallel(1, 1 << 24)
             .with_block_size(b)
             .with_fault(cfg),
+        prefix_pool_words(n, b),
     );
     let ps = PrefixSum::new(&m, n);
     let data: Vec<u64> = (0..n as u64).map(|i| i % 1000).collect();
     ps.load_input(&m, &data);
     let rt = Runtime::new(m, SchedConfig::with_slots(1 << 15));
-    let rep = rt.run_or_replay(&ps.comp());
+    let rep = rt.run_or_recover(&ps.pcomp());
     assert!(rep.completed());
     assert_eq!(
         ps.read_output(rt.machine()),

@@ -36,7 +36,7 @@ fn run_case(n: usize, b: usize, f: f64, scrape: &mut String) -> (f64, u64) {
     let (a, bb) = (sorted(1, n), sorted(2, n));
     mg.load_inputs(&m, &a, &bb);
     let rt = Runtime::new(m, SchedConfig::with_slots(1 << 15));
-    let rep = rt.run_or_replay(&mg.comp());
+    let rep = rt.run_or_recover(&mg.pcomp());
     assert!(rep.completed());
     assert_eq!(mg.read_output(rt.machine()), merge_seq(&a, &bb), "n={n}");
     let st = rep.stats();

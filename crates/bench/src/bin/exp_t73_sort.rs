@@ -63,7 +63,7 @@ fn main() {
             let ms = MergeSort::new(&m, n);
             ms.load_input(&m, &input);
             let rt = Runtime::new(m, SchedConfig::with_slots(1 << 15));
-            let rep = rt.run_or_replay(&ms.comp());
+            let rep = rt.run_or_recover(&ms.pcomp());
             assert!(rep.completed());
             assert_eq!(ms.read_output(rt.machine()), expect);
             rep.stats().total_work()
@@ -78,7 +78,7 @@ fn main() {
             let ss = SampleSort::new(&m, n);
             ss.load_input(&m, &input);
             let rt = Runtime::new(m, SchedConfig::with_slots(1 << 16));
-            let rep = rt.run_or_replay(&ss.comp());
+            let rep = rt.run_or_recover(&ss.pcomp());
             assert!(rep.completed());
             assert_eq!(ss.read_output(rt.machine()), expect);
             last_scrape = rt.machine().obs().registry().render();
@@ -201,7 +201,7 @@ fn main() {
     );
     report.metric("scatter_seq_over_random_x", scatter_x);
 
-    // --- frame write-combining ratio (registered form) ---------------
+    // --- frame write-combining ratio ----------------------------------
     //
     // The registered pipeline writes every phase frame through the
     // per-proc staging buffer; staged_persists/staged_words is the

@@ -32,7 +32,7 @@ fn run_case(n: usize, m_eph: usize, f: f64, verify: bool, scrape: &mut String) -
     let bb: Vec<u64> = (0..(n * n) as u64).map(|i| (3 * i) % 13).collect();
     mm.load_inputs(&machine, &a, &bb);
     let rt = Runtime::new(machine, SchedConfig::with_slots(1 << 14));
-    let rep = rt.run_or_replay(&mm.comp());
+    let rep = rt.run_or_recover(&mm.pcomp());
     assert!(rep.completed());
     if verify {
         assert_eq!(

@@ -1,9 +1,8 @@
 //! # `ppm-bench` — experiment harness for the Parallel-PM reproduction
 //!
 //! One binary per experiment in DESIGN.md's per-experiment index
-//! (`cargo run --release -p ppm-bench --bin exp_<id>`), plus criterion
-//! benches under `benches/`. This library holds the shared table-printing
-//! and measurement helpers.
+//! (`cargo run --release -p ppm-bench --bin exp_<id>`). This library
+//! holds the shared table-printing and measurement helpers.
 
 #![warn(missing_docs)]
 

@@ -32,11 +32,12 @@
 //!   a cache would not be. This is also what makes frame handles
 //!   survive process death: a fresh process resolves them from
 //!   persistent words alone.
-//! * **Legacy closure handles** ([`ContArena::register`] /
+//! * **Closure handles** ([`ContArena::register`] /
 //!   [`ContArena::register_at`]): the closure content is a process-local
-//!   Rust object; the persistent word is only a marker (never
-//!   frame-shaped). These resolve through the map and die with the
-//!   process.
+//!   Rust object — the scheduler's own capsules and the engine's
+//!   swap-slot continuations; the persistent word is only a marker
+//!   (never frame-shaped). These resolve through the map and die with
+//!   the process.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -160,7 +161,7 @@ impl ContArena {
     }
 
     /// [`ContArena::resolve`] with the rehydration failure preserved, for
-    /// recovery code that must distinguish "legacy closure" from
+    /// recovery code that must distinguish a closure handle from
     /// "malformed frame". The null handle and map misses report as frame
     /// errors.
     pub fn try_resolve(&self, handle: Word) -> Result<Cont, RehydrateError> {

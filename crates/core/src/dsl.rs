@@ -24,6 +24,7 @@
 //! | [`seq`] | sequential composition: the first capsule's continuation is the second's frame |
 //! | [`fork_many`] | an n-ary fork as a balanced binary tree of `fork-pair` capsules (the model's out-degree-2 DAG nodes) |
 //! | [`CapsuleSet::map_grain`] | a parallel loop: recursive binary splitting down to `grain` iterations per leaf capsule |
+//! | [`par_for`] | `n` independent tasks, one capsule each, packaged as a whole `PComp` |
 //! | [`CapsuleSet::reduce`] | a parallel reduction: leaf values combined pairwise up a join tree, scratch cells from the restart-stable pool |
 //! | [`Step::End`] | "when a thread finishes it jumps to the scheduler" (§6.1) |
 //!
@@ -391,6 +392,40 @@ impl CapsuleSet {
         });
         node
     }
+}
+
+/// `n` independent tasks as one registered computation: a
+/// [`CapsuleSet::map_grain`] loop at grain 1, so task `i` runs
+/// `task(&env, i, ctx)` in its own leaf capsule and the tasks join down a
+/// balanced binary fork tree. `env` rides in every frame, so instances
+/// over different regions coexist on one machine; `task` itself is
+/// registered once per `name` per machine (the first body registered
+/// under a name is the one that rehydrates), so it must not capture
+/// per-instance state.
+pub fn par_for<T, F>(name: &'static str, env: T, n: usize, task: F) -> crate::registry::PComp
+where
+    T: Persist + Clone + Send + Sync + 'static,
+    F: Fn(&T, usize, &mut ProcCtx) -> PmResult<()> + Send + Sync + 'static,
+{
+    let task = Arc::new(task);
+    let split_name = intern_name(format!("{name}/split"));
+    Arc::new(move |machine: &Machine, finale| {
+        let mut set = CapsuleSet::new(machine);
+        let task = task.clone();
+        let leaf = set.define(name, move |st: &Span<T>, k, ctx| {
+            for i in st.lo..st.hi {
+                task(&st.env, i, ctx)?;
+            }
+            Ok(Step::Jump(k))
+        });
+        let split = set.map_grain(split_name, 1, leaf);
+        let span = Span {
+            env: env.clone(),
+            lo: 0,
+            hi: n,
+        };
+        split.setup(machine, &span, K(finale)).0
+    })
 }
 
 fn decode_state<T: Persist>(
@@ -787,6 +822,21 @@ mod tests {
         run_pcomp(&m, &pcomp);
         for i in 0..n {
             assert_eq!(m.mem().load(out.at(i)), i as Word + 100, "index {i}");
+        }
+    }
+
+    #[test]
+    fn par_for_instances_over_different_regions_coexist() {
+        let m = machine();
+        let (a, b) = (m.alloc_region(5), m.alloc_region(9));
+        for (out, n) in [(a, 5), (b, 9)] {
+            let pcomp = par_for("dsl-par/mark", out, n, |out: &Region, i, ctx| {
+                ctx.pwrite(out.at(i), i as Word + 1)
+            });
+            run_pcomp(&m, &pcomp);
+            for i in 0..n {
+                assert_eq!(m.mem().load(out.at(i)), i as Word + 1, "task {i}");
+            }
         }
     }
 

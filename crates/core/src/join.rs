@@ -62,28 +62,6 @@ impl JoinCell {
         self.addr
     }
 
-    /// Builds the two-capsule arrival chain for one branch: CAM the cell
-    /// with `token`, then check; the last arriver jumps to `after`, the
-    /// first ends its thread.
-    pub fn arrive(self, token: Word, after: Cont) -> Cont {
-        assert_ne!(token, UNSET, "a join token must be non-zero");
-        let cell = self.addr;
-        let check = capsule("join-check", move |ctx| {
-            let v = ctx.pread(cell)?;
-            if v == token {
-                // Our CAM won: we arrived first; the peer will continue.
-                Ok(Next::End)
-            } else {
-                // Someone else's token is installed: we arrived last.
-                Ok(Next::Jump(after.clone()))
-            }
-        });
-        capsule("join-cam", move |ctx| {
-            ctx.pcam(cell, UNSET, token)?;
-            Ok(Next::Jump(check.clone()))
-        })
-    }
-
     /// Frame-denotable arrival, CAM half: CAMs the cell with `token`,
     /// writes a persistent frame for the check capsule, and jumps to it
     /// *by handle*, so the restart pointer stays a frame address. `after`
@@ -138,35 +116,43 @@ mod tests {
     use super::*;
     use crate::capsule::final_capsule;
     use crate::machine::Machine;
+    use crate::registry::CORE_ID_FINALE;
     use crate::runner::{run_chain, InstallCtx};
-    use ppm_pm::{FaultConfig, PmConfig};
+    use ppm_pm::{FaultConfig, PmConfig, Region};
 
     fn machine(f: FaultConfig) -> Machine {
         Machine::new(PmConfig::parallel(1, 1 << 16).with_fault(f))
     }
 
-    /// Runs both arrival chains sequentially on one processor and returns
-    /// how many times `after` ran.
-    fn run_both_arrivals(m: &Machine, order: [Word; 2]) -> u64 {
-        let out = m.alloc_region(8);
-        let mut ctx = m.ctx(0);
-        let mut install = InstallCtx::new(m.proc_meta(0));
-
-        // Allocate the cell in a setup capsule.
+    /// Allocates a cell in a setup capsule (so the init is a costed,
+    /// restart-stable pool allocation) and returns it.
+    fn init_cell(m: &Machine, ctx: &mut ProcCtx, install: &mut InstallCtx) -> JoinCell {
         let cell_slot = m.alloc_region(8);
         let setup = final_capsule("setup", move |ctx| {
             let cell = JoinCell::init(ctx)?;
             ctx.pwrite(cell_slot.at(0), cell.addr() as Word)
         });
-        run_chain(&mut ctx, m.arena(), &mut install, setup).unwrap();
-        let cell = JoinCell::at(m.mem().load(cell_slot.at(0)) as usize);
+        run_chain(ctx, m.arena(), install, setup).unwrap();
+        JoinCell::at(m.mem().load(cell_slot.at(0)) as usize)
+    }
 
+    /// The post-join continuation of branch `token`: a finale frame that
+    /// sets that branch's marker word (an idempotent, conflict-free record
+    /// of "this branch continued").
+    fn after_frame(m: &Machine, out: Region, token: Word) -> Word {
+        m.setup_frame(CORE_ID_FINALE, &[out.at(token as usize) as Word])
+    }
+
+    /// Runs both arrival chains (CAM frame, then the check frame it jumps
+    /// to) sequentially on one processor and returns how many times the
+    /// post-join continuation ran.
+    fn run_both_arrivals(m: &Machine, order: [Word; 2]) -> u64 {
+        let out = m.alloc_region(8);
+        let mut ctx = m.ctx(0);
+        let mut install = InstallCtx::new(m.proc_meta(0));
+        let cell = init_cell(m, &mut ctx, &mut install);
         for token in order {
-            // Each branch, if it continues past the join, writes its own
-            // marker word (an idempotent, conflict-free record of "this
-            // branch continued").
-            let after = final_capsule("after", move |ctx| ctx.pwrite(out.at(token as usize), 1));
-            let chain = cell.arrive(token, after);
+            let chain = cell.arrive_cam_frame(token, after_frame(m, out, token));
             run_chain(&mut ctx, m.arena(), &mut install, chain).unwrap();
         }
         m.mem().load(out.at(1)) + m.mem().load(out.at(2))
@@ -201,33 +187,41 @@ mod tests {
         let m = machine(FaultConfig::none());
         let mut ctx = m.ctx(0);
         let mut install = InstallCtx::new(m.proc_meta(0));
-        let cell_slot = m.alloc_region(8);
-        let setup = final_capsule("setup", move |ctx| {
-            let cell = JoinCell::init(ctx)?;
-            ctx.pwrite(cell_slot.at(0), cell.addr() as Word)
-        });
-        run_chain(&mut ctx, m.arena(), &mut install, setup).unwrap();
-        let cell = JoinCell::at(m.mem().load(cell_slot.at(0)) as usize);
+        let cell = init_cell(&m, &mut ctx, &mut install);
 
-        // Only the left branch arrives: its chain must End without running
-        // the continuation.
+        // Only the left branch arrives: both its CAM and its check capsule
+        // run, and the chain must End without running the continuation.
         let marker = m.alloc_region(8);
-        let after = final_capsule("after", move |ctx| ctx.pwrite(marker.at(0), 1));
+        let after = after_frame(&m, marker, TOKEN_LEFT);
         run_chain(
             &mut ctx,
             m.arena(),
             &mut install,
-            cell.arrive(TOKEN_LEFT, after),
+            cell.arrive_cam_frame(TOKEN_LEFT, after),
         )
         .unwrap();
-        assert_eq!(m.mem().load(marker.at(0)), 0, "after must not have run");
+        assert_eq!(
+            m.mem().load(marker.at(TOKEN_LEFT as usize)),
+            0,
+            "after must not have run"
+        );
         assert_eq!(m.mem().load(cell.addr()), TOKEN_LEFT);
+
+        // The check half on its own agrees: the cell holds our token.
+        run_chain(
+            &mut ctx,
+            m.arena(),
+            &mut install,
+            cell.arrive_check_frame(TOKEN_LEFT, after),
+        )
+        .unwrap();
+        assert_eq!(m.mem().load(marker.at(TOKEN_LEFT as usize)), 0);
     }
 
     #[test]
     #[should_panic(expected = "non-zero")]
     fn zero_token_rejected() {
         let cell = JoinCell::at(100);
-        let _ = cell.arrive(UNSET, crate::capsule::end_capsule());
+        let _ = cell.arrive_cam_frame(UNSET, 0);
     }
 }

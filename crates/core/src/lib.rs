@@ -16,9 +16,12 @@
 //!   and surfaces hard faults to the scheduler.
 //! * **Join cells** ([`join`]): the §5 CAM test-and-set join — no CAS, safe
 //!   under faults, exactly-once continuation.
-//! * **Fork-join combinators** ([`comp`]): continuation-passing composition
-//!   of capsules into the binary fork-join DAGs of the multithreaded model,
-//!   with dynamic expansion for recursive algorithms.
+//! * **The typed DSL** ([`dsl`]): fork-join computations whose every
+//!   continuation is a persistent frame (`fork2`, `seq`, `fork_many`,
+//!   `map_grain`, `par_for`), composed into the binary fork-join DAGs of
+//!   the multithreaded model and packaged as a [`PComp`] — the one
+//!   representation of a computation that the scheduler runs, steals and
+//!   recovers.
 //! * **Machines** ([`machine`]): bundling memory, statistics, liveness, the
 //!   arena and the address-space layout into one instance.
 //! * **The capsule registry** ([`registry`]): stable capsule ids mapped to
@@ -35,7 +38,6 @@
 
 pub mod arena;
 pub mod capsule;
-pub mod comp;
 pub mod dsl;
 pub mod flag;
 pub mod join;
@@ -49,8 +51,7 @@ pub use capsule::{
     capsule, capsule_unchecked, end_capsule, final_capsule, sched_capsule, step_capsule, Capsule,
     Cont, Next,
 };
-pub use comp::{comp_dyn, comp_fork2, comp_nop, comp_seq, comp_step, par_all, root, seq_all, Comp};
-pub use dsl::{fork2, fork_many, jump_to, seq, CapsuleDef, CapsuleSet, Fold, Span, K};
+pub use dsl::{fork2, fork_many, jump_to, par_for, seq, CapsuleDef, CapsuleSet, Fold, Span, K};
 pub use flag::DoneFlag;
 pub use join::{fork_join_frames, JoinCell, TOKEN_LEFT, TOKEN_RIGHT, UNSET};
 pub use machine::{Machine, ProcMeta, DEFAULT_POOL_WORDS, PROC_META_WORDS};

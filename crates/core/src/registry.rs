@@ -73,7 +73,8 @@ pub enum RehydrateError {
     /// The words at the handle are not a well-formed frame.
     Frame(FrameError),
     /// The frame decoded but its capsule id has no registered constructor
-    /// (a legacy-closure computation, or a construction-order mismatch).
+    /// (a construction-order mismatch, or a frame written by a different
+    /// computation).
     UnknownCapsule {
         /// The frame address.
         addr: ppm_pm::Addr,
@@ -430,11 +431,7 @@ pub fn register_core_capsules(registry: &CapsuleRegistry) {
         "finale",
         |args| {
             let [flag] = frame_args("finale", args)?;
-            let flag = flag as ppm_pm::Addr;
-            Ok(capsule("finale", move |ctx| {
-                ctx.pwrite(flag, 1)?;
-                Ok(Next::End)
-            }))
+            Ok(crate::flag::DoneFlag::at(flag as ppm_pm::Addr).finale())
         },
         |args, out| {
             if let [flag] = args {

@@ -14,7 +14,8 @@
 use std::sync::Arc;
 
 use ppm_core::{
-    capsule_unchecked, run_capsule, Comp, Cont, DoneFlag, InstallCtx, Machine, Next, Step,
+    capsule_unchecked, run_capsule, Cont, DoneFlag, InstallCtx, Machine, Next, PComp, Step,
+    CORE_ID_FINALE,
 };
 use ppm_pm::{Addr, PmResult, ProcCtx, Region, StatsSnapshot, Word};
 
@@ -134,7 +135,7 @@ impl AbpScheduler {
         capsule_unchecked("abp/findWork", move |ctx| {
             let me = ctx.proc();
             if let Some(h) = s.deques[me].pop_bottom(ctx)? {
-                return Ok(Next::Jump(arena.get(h).expect("dangling ABP handle")));
+                return Ok(Next::Jump(arena.resolve(h).expect("dangling ABP handle")));
             }
             let mut n = 0u64;
             loop {
@@ -146,7 +147,7 @@ impl AbpScheduler {
                     let v = (r >> 33) as usize % (p - 1);
                     let victim = if v >= me { v + 1 } else { v };
                     if let Some(h) = s.deques[victim].pop_top(ctx)? {
-                        return Ok(Next::Jump(arena.get(h).expect("dangling ABP handle")));
+                        return Ok(Next::Jump(arena.resolve(h).expect("dangling ABP handle")));
                     }
                 }
                 n += 1;
@@ -176,10 +177,17 @@ pub struct AbpReport {
     pub elapsed: std::time::Duration,
 }
 
-/// Runs a fork-join computation under the ABP baseline (fault-free).
-pub fn run_computation_abp(machine: &Machine, comp: &Comp, slots: usize, seed: u64) -> AbpReport {
+/// Runs a registered fork-join computation under the ABP baseline
+/// (fault-free). The root frame rehydrates through the machine's arena,
+/// as on the fault-tolerant scheduler.
+pub fn run_computation_abp(machine: &Machine, pcomp: &PComp, slots: usize, seed: u64) -> AbpReport {
     let done = DoneFlag::new(machine);
-    let root = comp(done.finale());
+    let finale = machine.setup_frame(CORE_ID_FINALE, &[done.addr() as Word]);
+    let root_handle = pcomp(machine, finale);
+    let root = machine
+        .arena()
+        .resolve(root_handle)
+        .expect("root frame handle must rehydrate through the registry");
     let sched = AbpScheduler::new(machine, done, slots, seed);
 
     let start = std::time::Instant::now();
@@ -223,11 +231,11 @@ pub fn run_computation_abp(machine: &Machine, comp: &Comp, slots: usize, seed: u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppm_core::{comp_step, par_all, Comp};
+    use ppm_core::par_for;
     use ppm_pm::{PmConfig, Region};
 
-    fn write_marker(r: Region, i: usize) -> Comp {
-        comp_step("mark", move |ctx: &mut ProcCtx| {
+    fn markers(r: Region, n: usize) -> PComp {
+        par_for("mark", r, n, |r: &Region, i, ctx| {
             ctx.pwrite(r.at(i), i as u64 + 1)
         })
     }
@@ -237,7 +245,7 @@ mod tests {
         let m = Machine::new(PmConfig::parallel(4, 1 << 21));
         let n = 64;
         let r = m.alloc_region(n);
-        let comp = par_all((0..n).map(|i| write_marker(r, i)).collect());
+        let comp = markers(r, n);
         let rep = run_computation_abp(&m, &comp, 1024, 7);
         assert!(rep.completed);
         for i in 0..n {
@@ -249,7 +257,7 @@ mod tests {
     fn abp_single_proc() {
         let m = Machine::new(PmConfig::parallel(1, 1 << 20));
         let r = m.alloc_region(16);
-        let comp = par_all((0..8).map(|i| write_marker(r, i)).collect());
+        let comp = markers(r, 8);
         let rep = run_computation_abp(&m, &comp, 256, 7);
         assert!(rep.completed);
         for i in 0..8 {

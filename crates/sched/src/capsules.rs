@@ -127,13 +127,11 @@ pub struct SchedConfig {
     /// Install a write observer asserting the Figure 4 entry-transition
     /// table on every deque mutation (tests and the E11 experiment).
     pub check_transitions: bool,
-    /// Checkpoint cadence for registered persistent runs (see
+    /// Checkpoint cadence of [`crate::Runtime`] sessions (see
     /// [`crate::checkpoint`]): periodic quiesced boundaries that flush
     /// dirty pages, write a resume record (durable machines), and reclaim
     /// dead frame-pool words. Defaults to every
-    /// [`crate::checkpoint::DEFAULT_CHECKPOINT_CAPSULES`] capsules;
-    /// ignored by legacy-closure runs, whose continuations cannot be
-    /// traced or re-planted.
+    /// [`crate::checkpoint::DEFAULT_CHECKPOINT_CAPSULES`] capsules.
     pub checkpoint: crate::checkpoint::CheckpointPolicy,
 }
 

@@ -31,7 +31,7 @@
 //!    *before* any post-checkpoint pool allocation, the surviving older
 //!    record's frames are always still unclobbered when it is needed.
 //! 3. **Frame-pool GC.** The §4.1 pool allocator only ever bumps, so the
-//!    registered form retains every frame, join cell and scratch word it
+//!    computation retains every frame, join cell and scratch word it
 //!    ever allocated — O(total work) pool footprint (samplesort's old
 //!    sizing carried a 72·n frame term for exactly this reason). At a
 //!    quiesced boundary the *live* pool contents are precisely what is
@@ -423,8 +423,8 @@ impl CheckpointCtl {
         })
     }
 
-    /// A control that never checkpoints (legacy-closure runs, plain
-    /// chains).
+    /// A control that never checkpoints (instrumented prebuilt
+    /// schedulers, plain chains).
     pub(crate) fn disabled(machine: &Machine, sched: Arc<Sched>) -> Arc<Self> {
         Self::new(machine, sched, CheckpointPolicy::Disabled)
     }

@@ -52,22 +52,14 @@
 //! from live remote shards are counted separately
 //! (`ppm_live_steals_total`).
 //!
-//! ## Entry points: [`ClusterBuilder`]
+//! ## Entry point: [`ClusterBuilder`]
 //!
-//! One builder replaces the old free functions (now thin deprecated
-//! shims):
-//!
-//! | old | new |
-//! |---|---|
-//! | `init(path, &cfg, &build)` | `ClusterBuilder::new(path).machine(pm).workers(n).init(&build)` |
-//! | `init_observed(path, &cfg, &build)` | `…​.observe(&build)` |
-//! | `run_coordinator(path, &cfg, &build, spawn)` | `…​.run(&build, spawn)` |
-//! | `Runtime::sharded(path, &cfg, &build, spawn)` | `…​.run(&build, spawn)` |
-//! | *(new)* service mode | `…​.service(true).spawn(&build, spawn)` → [`crate::ServiceHandle`] |
-//!
-//! Every other `ClusterConfig` knob has a matching builder method
-//! (`lease_ms`, `deque_slots`, `seed`, `victim_strategy`, `pool_words`,
-//! `deadline`, `checkpoint_every`, `service_config`).
+//! `ClusterBuilder::new(path).machine(pm).workers(n)` then one terminal:
+//! `init(&build)`, `observe(&build)`, `run(&build, spawn)` (batch), or
+//! `service(true).spawn(&build, spawn)` → [`crate::ServiceHandle`]
+//! (service mode). Every knob is a builder method (`lease_ms`,
+//! `deque_slots`, `seed`, `victim_strategy`, `pool_words`, `deadline`,
+//! `checkpoint_every`, `service_config`).
 //!
 //! ## Work distribution and completion
 //!
@@ -388,12 +380,13 @@ impl ShardDomain {
 // Cluster configuration
 // ====================================================================
 
-/// Coordinator-side configuration of a sharded run. The pieces every
-/// attacher must agree on (shard count, deque slots, victim seed, lease
-/// interval) are persisted in the machine file's cluster header, so
-/// workers configure themselves from the file alone.
+/// Coordinator-side configuration of a sharded run — the internal form
+/// of a [`ClusterBuilder`]. The pieces every attacher must agree on
+/// (shard count, deque slots, victim seed, lease interval) are persisted
+/// in the machine file's cluster header, so workers configure themselves
+/// from the file alone.
 #[derive(Debug, Clone)]
-pub struct ClusterConfig {
+pub(crate) struct ClusterConfig {
     /// Machine shape — `pm.procs` is the *total* processor count, split
     /// evenly across shards.
     pub pm: ppm_pm::PmConfig,
@@ -444,50 +437,6 @@ impl ClusterConfig {
         }
     }
 
-    /// Turns on service mode with the given injector-queue shape.
-    pub fn with_service(mut self, service: ServiceConfig) -> Self {
-        self.service = Some(service);
-        self
-    }
-
-    /// Sets the cross-process checkpoint cadence.
-    pub fn with_checkpoint_every(mut self, every: Duration) -> Self {
-        self.checkpoint_every = Some(every);
-        self
-    }
-
-    /// Sets the victim-selection policy.
-    pub fn with_victim_strategy(mut self, v: crate::capsules::VictimStrategy) -> Self {
-        self.victim_strategy = v;
-        self
-    }
-
-    /// Sets the lease window.
-    pub fn with_lease_ms(mut self, ms: u64) -> Self {
-        self.lease_ms = ms;
-        self
-    }
-
-    /// Sets the deque size.
-    pub fn with_slots(mut self, slots: usize) -> Self {
-        self.deque_slots = slots;
-        self
-    }
-
-    /// Sets explicit per-processor pool sizing. Size for the shard's own
-    /// work *plus* adoption headroom: a survivor may re-drive a dead
-    /// sibling's frontier out of its own pools.
-    pub fn with_pool_words(mut self, words: usize) -> Self {
-        self.pool_words = Some(words);
-        self
-    }
-
-    /// Sets the coordinator deadline.
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = deadline;
-        self
-    }
-
     fn header(&self) -> ppm_pm::ClusterHeader {
         ppm_pm::ClusterHeader {
             shards: self.shards as u64,
@@ -502,10 +451,8 @@ impl ClusterConfig {
 // Builder — the one entry point
 // ====================================================================
 
-/// Builds every flavor of multi-process session over one machine file —
-/// the single entry point the old free functions ([`init`],
-/// [`init_observed`], [`run_coordinator`], `Runtime::sharded`) now
-/// deprecate into. Configure, then pick a terminal:
+/// Builds every flavor of multi-process session over one machine file.
+/// Configure, then pick a terminal:
 ///
 /// * [`ClusterBuilder::init`] — prepare the file, return nothing
 ///   (external supervisor launches the workers);
@@ -607,8 +554,9 @@ impl ClusterBuilder {
         self
     }
 
-    /// Sets explicit per-processor pool sizing (see
-    /// [`ClusterConfig::with_pool_words`]).
+    /// Sets explicit per-processor pool sizing. Size for the shard's own
+    /// work *plus* adoption headroom: a survivor may re-drive a dead
+    /// sibling's frontier out of its own pools.
     pub fn pool_words(mut self, words: usize) -> Self {
         self.pool_words = Some(words);
         self
@@ -685,11 +633,21 @@ impl ClusterBuilder {
         observe_impl(&self.path, &self.config()?, build)
     }
 
-    /// Batch terminal: prepares the file, spawns one worker process per
-    /// shard via `spawn_worker` (receives the shard index; the command
-    /// must end up calling [`run_worker`] for it), observes to
-    /// completion or deadline, and reports. See the old
-    /// [`run_coordinator`] docs for the full protocol.
+    /// Batch terminal: prepares the machine file (superblock, cluster
+    /// header, session frames, one planted sub-root per shard, seeded
+    /// leases), spawns one worker process per shard via `spawn_worker`
+    /// (which receives the shard index and must return a command that
+    /// ends up calling [`run_worker`] for it — typically the current
+    /// executable with a `worker` argument), and then *observes*:
+    /// reaping worker exits (tombstoning the leases of the dead so
+    /// survivors adopt immediately), watching the completion flag, and
+    /// enforcing the deadline.
+    ///
+    /// The returned [`SessionReport`] carries a [`ClusterSummary`]; its
+    /// `run.completed` reflects the persisted completion flag. On an
+    /// incomplete outcome (all workers dead, or deadline) the machine
+    /// file is left crashed-in-run; [`recover`] finishes the computation
+    /// single-process.
     #[cfg(unix)]
     pub fn run(
         &self,
@@ -1448,38 +1406,6 @@ fn lease_monitor_loop(
 // Coordinator
 // ====================================================================
 
-/// Creates and fully prepares a sharded machine file — superblock,
-/// cluster header, session frames, planted sub-roots, seeded leases —
-/// without spawning or monitoring anything. [`run_coordinator`] builds
-/// on this; it is public for coordinator-less deployments (workers
-/// launched by an external supervisor) and tests.
-#[cfg(unix)]
-#[deprecated(note = "use ClusterBuilder::new(path).machine(pm).workers(n)….init(&build)")]
-pub fn init(
-    path: impl AsRef<std::path::Path>,
-    cfg: &ClusterConfig,
-    build: &ShardBuild,
-) -> io::Result<()> {
-    let (machine, _session) = init_machine(path, cfg, build)?;
-    machine.flush()
-}
-
-/// [`init`] returning an observer handle: a custom coordinator (one that
-/// wants its own spawn, kill, or progress logic — e.g. a fault-injection
-/// harness) keeps this to watch the completion flag, read progress
-/// through the shared mapping, tombstone the leases of workers whose
-/// deaths it learns about out-of-band, and assemble the final
-/// [`ClusterSummary`].
-#[cfg(unix)]
-#[deprecated(note = "use ClusterBuilder::new(path).machine(pm).workers(n)….observe(&build)")]
-pub fn init_observed(
-    path: impl AsRef<std::path::Path>,
-    cfg: &ClusterConfig,
-    build: &ShardBuild,
-) -> io::Result<ClusterObserver> {
-    observe_impl(path, cfg, build)
-}
-
 #[cfg(unix)]
 fn observe_impl(
     path: impl AsRef<std::path::Path>,
@@ -1559,7 +1485,7 @@ impl ClusterObserver {
     }
 
     /// Starts the aggregated Prometheus scrape endpoint on `port` (see
-    /// [`run_coordinator`]'s `PPM_METRICS_PORT` handling): worker
+    /// [`ClusterBuilder::run`]'s `PPM_METRICS_PORT` handling): worker
     /// scrapes are fetched from `port + 1 + shard` and labeled, lease
     /// telemetry is read live from the shared superblock, and a dead
     /// worker keeps contributing its last-seen series. `None` when the
@@ -1731,32 +1657,6 @@ fn request_quiesce_if_due(
         .record_with(TraceKind::Checkpoint, None, None, || {
             format!("cluster quiesce {requested} requested (performer shard {performer})")
         });
-}
-
-/// Creates a sharded run and drives it to completion: prepares the
-/// machine file via [`init`]'s path (superblock, cluster header, session
-/// frames, one planted sub-root per shard, seeded leases), spawns the
-/// `N` worker processes via `spawn_worker` (which receives the shard
-/// index and must return a command that ends up calling [`run_worker`]
-/// for it — typically the current executable with a `worker` argument),
-/// and then *observes*: reaping worker exits (tombstoning the leases of
-/// the dead so survivors adopt immediately), watching the completion
-/// flag, and enforcing the deadline.
-///
-/// The returned [`SessionReport`] carries a [`ClusterSummary`]; its
-/// `run.completed` reflects the persisted completion flag. On an
-/// incomplete outcome (all workers dead, or deadline) the machine file is
-/// left crashed-in-run; [`recover`] finishes the computation
-/// single-process.
-#[cfg(unix)]
-#[deprecated(note = "use ClusterBuilder::new(path).machine(pm).workers(n)….run(&build, spawn)")]
-pub fn run_coordinator(
-    path: impl AsRef<std::path::Path>,
-    cfg: &ClusterConfig,
-    build: &ShardBuild,
-    spawn_worker: impl FnMut(usize) -> std::process::Command,
-) -> io::Result<SessionReport> {
-    coordinate(path, cfg, build, spawn_worker)
 }
 
 #[cfg(unix)]
@@ -2239,9 +2139,9 @@ mod tests {
 
     #[test]
     fn cluster_config_header_round_trip() {
-        let cfg = ClusterConfig::new(PmConfig::parallel(8, 1 << 20), 4)
-            .with_lease_ms(700)
-            .with_slots(1 << 12);
+        let mut cfg = ClusterConfig::new(PmConfig::parallel(8, 1 << 20), 4);
+        cfg.lease_ms = 700;
+        cfg.deque_slots = 1 << 12;
         let h = cfg.header();
         assert_eq!(h.shards, 4);
         assert_eq!(h.lease_ms, 700);

@@ -15,14 +15,11 @@
 //! ## Entry points
 //!
 //! The session object [`crate::Runtime`] is the one public entry point:
-//! `Runtime::run_or_recover` (registered persistent computations) and
-//! `Runtime::run_or_replay` (legacy closure computations) dispatch to the
-//! fresh-run, persistent-resume, checkpoint-resume, or replay-fallback
-//! paths in this module and return a unified [`SessionReport`]. (The four
-//! deprecated free functions of the pre-session API — `run_computation`,
-//! `run_persistent`, `recover_computation`, `recover_persistent` — have
-//! been removed; [`run_root_thread`] / [`run_root_on`] remain for callers
-//! that instrument a prebuilt scheduler.)
+//! `Runtime::run_or_recover` dispatches a registered computation
+//! ([`PComp`]) to the fresh-run, persistent-resume, checkpoint-resume, or
+//! replay-fallback paths in this module and returns a unified
+//! [`SessionReport`]. [`run_root_thread`] / [`run_root_on`] remain for
+//! callers that instrument a prebuilt scheduler.
 //!
 //! ## Crash recovery across process lifetimes
 //!
@@ -31,24 +28,21 @@
 //! reopened by a fresh process, and fresh OS threads re-attach to the
 //! persisted WS-deques and restart pointers.
 //!
-//! Two recovery paths exist, differing in what a deque entry's handle
-//! *means* to the new process:
+//! Two recovery paths exist:
 //!
-//! * **Resume** (for computations built from registered persistent
-//!   capsules): every persisted `job` entry and every running thread's
+//! * **Resume**: every persisted `job` entry and every running thread's
 //!   restart pointer is a frame address ([`ppm_pm::frame`]), so the
 //!   recovering process rehydrates each one through the machine's
 //!   [`ppm_core::CapsuleRegistry`] and re-plants them as jobs on fresh
 //!   deques. Only in-flight work is re-driven; recovery cost is bounded
 //!   by what was lost, not by total work.
-//! * **Replay** (legacy closure computations, and the fallback whenever
-//!   the persisted state is not fully rehydratable — see
-//!   [`FallbackReason`]): the deques are scrubbed back to the §6.3
-//!   initial state and the computation re-runs from its root. Idempotence
-//!   (write-after-read conflict freedom plus CAM test-and-set for
-//!   once-only effects — the §5 discipline) guarantees effects already
-//!   applied by the dead run are not applied again; replay costs work,
-//!   never correctness.
+//! * **Replay** (the fallback whenever the persisted state is not fully
+//!   rehydratable — see [`FallbackReason`]): the deques are scrubbed back
+//!   to the §6.3 initial state and the computation re-runs from its
+//!   root. Idempotence (write-after-read conflict freedom plus CAM
+//!   test-and-set for once-only effects — the §5 discipline) guarantees
+//!   effects already applied by the dead run are not applied again;
+//!   replay costs work, never correctness.
 //!
 //! Either way the machine is flushed before recovery returns, so a second
 //! crash during recovery recovers the same way.
@@ -59,7 +53,7 @@ use std::time::{Duration, Instant};
 use ppm_core::persist::FrameDecodeError;
 pub use ppm_core::registry::PComp;
 use ppm_core::registry::RehydrateError;
-use ppm_core::{run_capsule, Comp, Cont, DoneFlag, InstallCtx, Machine, Step, CORE_ID_FINALE};
+use ppm_core::{run_capsule, Cont, DoneFlag, InstallCtx, Machine, Step, CORE_ID_FINALE};
 use ppm_pm::{StatsSnapshot, Word};
 
 use crate::capsules::{Sched, SchedConfig};
@@ -93,7 +87,7 @@ pub struct RunReport {
     /// (compact form: `T` taken, `J` job, `L` local, `.` empty).
     pub deque_dump: Vec<String>,
     /// What the run's checkpointing did (all zeros when the policy is
-    /// disabled or the run is legacy-closure).
+    /// disabled).
     pub checkpoints: CheckpointSummary,
 }
 
@@ -118,8 +112,8 @@ pub enum SessionMode {
     /// through the capsule registry and re-planted: the run resumed from
     /// the crash frontier.
     Resumed,
-    /// State was scrubbed and the computation replayed from its root
-    /// (legacy closures, or an ambiguous crash window — see
+    /// State was scrubbed and the computation replayed from its root (an
+    /// unresumable crash frontier — see
     /// [`SessionReport::fallback_reason`]).
     Replayed,
 }
@@ -132,9 +126,6 @@ pub enum FallbackReason {
     /// No in-flight entries were found; the computation restarts from the
     /// root (it had barely begun, or its frontier died with its thieves).
     NoFrontier,
-    /// The computation is built from process-local Rust closures, which
-    /// cannot be rehydrated by construction.
-    LegacyClosures,
     /// A persisted handle did not rehydrate through the capsule registry.
     Rehydrate {
         /// Which persisted handle failed (deque entry or restart
@@ -192,9 +183,6 @@ impl std::fmt::Display for FallbackReason {
         match self {
             FallbackReason::NoFrontier => {
                 write!(f, "no in-flight entries found; restarting from the root")
-            }
-            FallbackReason::LegacyClosures => {
-                write!(f, "legacy closure computation (no persistent frames)")
             }
             FallbackReason::Rehydrate { what, error } => write!(f, "{what}: {error}"),
             FallbackReason::InvalidTakenRef {
@@ -384,32 +372,11 @@ impl SessionReport {
 // Fresh runs
 // ====================================================================
 
-/// Fresh run of a legacy-closure computation: allocates a completion
-/// flag, plants the root thread on processor 0, and drives all processors
-/// until the flag is set (or everyone is dead).
-pub(crate) fn run_computation_impl(machine: &Machine, comp: &Comp, cfg: &SchedConfig) -> RunReport {
-    let done = DoneFlag::new(machine);
-    let root = comp(done.finale());
-    run_root_thread(machine, root, done, cfg)
-}
-
-/// Runs an explicit root thread (its last capsule must set `done`, e.g. by
-/// ending with [`DoneFlag::finale`]'s chain) on a freshly built scheduler.
-pub fn run_root_thread(
-    machine: &Machine,
-    root: Cont,
-    done: DoneFlag,
-    cfg: &SchedConfig,
-) -> RunReport {
-    let sched = Sched::new(machine, done, cfg);
-    run_root_on(machine, &sched, root, done)
-}
-
-/// Fresh run of a persistent-capsule computation: the root thread — and
-/// every continuation it forks — is denoted by persistent frame
-/// addresses, so a crash of the whole process leaves a machine file that
-/// a recovering session can *resume* instead of replaying from the root.
-/// Checkpoints per `cfg.checkpoint`.
+/// Fresh run of a registered computation: the root thread — and every
+/// continuation it forks — is denoted by persistent frame addresses, so a
+/// crash of the whole process leaves a machine file that a recovering
+/// session can *resume* instead of replaying from the root. Checkpoints
+/// per `cfg.checkpoint`.
 pub(crate) fn run_persistent_impl(
     machine: &Machine,
     pcomp: &PComp,
@@ -417,29 +384,56 @@ pub(crate) fn run_persistent_impl(
 ) -> RunReport {
     let done = DoneFlag::new(machine);
     let sched = Sched::new(machine, done, cfg);
+    let ctl = CheckpointCtl::new(machine, sched.clone(), cfg.checkpoint.clone());
+    launch_pcomp(machine, &sched, pcomp, done, &ctl)
+}
+
+/// Runs a registered computation on a freshly built scheduler; `done` is
+/// the completion flag its finale sets.
+pub fn run_root_thread(
+    machine: &Machine,
+    pcomp: &PComp,
+    done: DoneFlag,
+    cfg: &SchedConfig,
+) -> RunReport {
+    let sched = Sched::new(machine, done, cfg);
+    run_root_on(machine, &sched, pcomp, done)
+}
+
+/// Runs a registered computation on a *prebuilt* scheduler (so callers
+/// can inspect or instrument its deques — e.g. the Figure 4 transition
+/// experiment). No checkpoint policy applies here; checkpointed runs go
+/// through [`crate::Runtime`].
+pub fn run_root_on(
+    machine: &Machine,
+    sched: &Arc<Sched>,
+    pcomp: &PComp,
+    done: DoneFlag,
+) -> RunReport {
+    let ctl = CheckpointCtl::disabled(machine, sched.clone());
+    launch_pcomp(machine, sched, pcomp, done, &ctl)
+}
+
+/// Writes the finale frame that sets `done`, builds the computation's
+/// root frame over it, and launches the root.
+fn launch_pcomp(
+    machine: &Machine,
+    sched: &Arc<Sched>,
+    pcomp: &PComp,
+    done: DoneFlag,
+    ctl: &Arc<CheckpointCtl>,
+) -> RunReport {
     let finale = machine.setup_frame(CORE_ID_FINALE, &[done.addr() as Word]);
     let root_handle = pcomp(machine, finale);
-    let ctl = CheckpointCtl::new(machine, sched.clone(), cfg.checkpoint.clone());
-    run_root_handle_on(machine, &sched, root_handle, done, &ctl)
+    launch_root(machine, sched, root_handle, done, ctl)
 }
 
-/// Runs a root thread on a *prebuilt* scheduler (so callers can inspect or
-/// instrument its deques — e.g. the Figure 4 transition experiment).
-/// Closure roots cannot checkpoint (their continuations are untraceable),
-/// so no checkpoint policy applies here.
-pub fn run_root_on(machine: &Machine, sched: &Arc<Sched>, root: Cont, done: DoneFlag) -> RunReport {
-    // Legacy closure root: park it at a fresh address so the restart
-    // pointer resolves (in this process only).
-    let root_slot = machine.alloc_region(1).start;
-    machine.arena().preregister(root_slot, root.clone());
-    let ctl = CheckpointCtl::disabled(machine, sched.clone());
-    launch_root(machine, sched, root, root_slot as Word, done, &ctl)
-}
-
-/// Runs a frame-denoted root thread on a prebuilt scheduler: the restart
-/// pointer of processor 0 is the root *frame address* itself, meaningful
-/// to any future process.
-fn run_root_handle_on(
+/// §6.3 initialization: the root processor's first deque entry is local
+/// (it is running the root thread) and its restart pointer is the root
+/// *frame address* itself — meaningful to any future process — so the
+/// thread survives an immediate hard fault; all other processors start at
+/// `findWork`.
+fn launch_root(
     machine: &Machine,
     sched: &Arc<Sched>,
     root_handle: Word,
@@ -452,21 +446,6 @@ fn run_root_handle_on(
              register its capsule constructors before returning"
         )
     });
-    launch_root(machine, sched, root, root_handle, done, ctl)
-}
-
-/// §6.3 initialization shared by both root forms: the root processor's
-/// first deque entry is local (it is running the root thread) and its
-/// restart pointer is `root_handle`, so the thread survives an immediate
-/// hard fault; all other processors start at `findWork`.
-fn launch_root(
-    machine: &Machine,
-    sched: &Arc<Sched>,
-    root: Cont,
-    root_handle: Word,
-    done: DoneFlag,
-    ctl: &Arc<CheckpointCtl>,
-) -> RunReport {
     machine
         .mem()
         .store(machine.proc_meta(0).active, root_handle);
@@ -877,7 +856,7 @@ pub(crate) fn recover_persistent_impl(
             .collect();
         run_attached(machine, &sched, first, done, cursors, &ctl)
     } else {
-        run_root_handle_on(machine, &sched, root_handle, done, &ctl)
+        launch_root(machine, &sched, root_handle, done, &ctl)
     };
     machine
         .flush()
@@ -896,101 +875,6 @@ pub(crate) fn recover_persistent_impl(
         resumed: if resume { seeds.len() } else { 0 },
         fallback_reason,
         checkpoint_resume,
-        cluster: None,
-        trace: None,
-        run: Some(run),
-    }
-}
-
-/// Resumes a *legacy-closure* computation whose machine came back from
-/// [`Machine::reopen`] after the previous process died mid-run (the
-/// `kill -9` analogue of the paper's all-processors-hard-fault scenario).
-///
-/// The caller must rebuild the machine-setup sequence of the crashed run
-/// deterministically before calling this: the same user
-/// [`Machine::alloc_region`] calls in the same order, the same `comp`, and
-/// the same `cfg` (deque sizing).
-///
-/// Because `comp` capsules are process-local Rust closures (not
-/// registered persistent frames), the persisted deque entries cannot be
-/// rehydrated: they are inspected (the counts are reported), scrubbed,
-/// and the computation replays from its root. Capsule idempotence (the §5
-/// CAM discipline) makes the replay apply each effect exactly once —
-/// work, not effects, is what replay costs. Computations built from
-/// registered capsules resume through [`recover_persistent_impl`]'s path
-/// instead.
-pub(crate) fn recover_computation_impl(
-    machine: &Machine,
-    comp: &Comp,
-    cfg: &SchedConfig,
-) -> SessionReport {
-    // Replay the allocation order of a fresh closure run: completion flag
-    // first, then the scheduler's deques. The Figure 4 transition checker
-    // is deferred past the scrub (scrub stores are machine maintenance,
-    // not entry transitions).
-    let done = DoneFlag::new(machine);
-    let sched = Sched::new(
-        machine,
-        done,
-        &SchedConfig {
-            check_transitions: false,
-            ..cfg.clone()
-        },
-    );
-    let (found_jobs, found_locals, found_taken, live_restart_pointers) =
-        crash_forensics(machine, &sched);
-    machine
-        .obs()
-        .tracer()
-        .record_with(ppm_obs::TraceKind::Recovery, None, None, || {
-            format!(
-                "legacy-closure recovery, epoch {}: replay from root \
-                 ({found_jobs} jobs, {found_locals} locals found)",
-                machine.epoch()
-            )
-        });
-
-    if done.is_set(machine.mem()) {
-        return SessionReport {
-            epoch: machine.epoch(),
-            mode: SessionMode::AlreadyComplete,
-            found_jobs,
-            found_locals,
-            found_taken,
-            live_restart_pointers,
-            resumed: 0,
-            fallback_reason: None,
-            checkpoint_resume: None,
-            cluster: None,
-            trace: None,
-            run: None,
-        };
-    }
-
-    // Legacy runs write no checkpoints, but a registered run may have on
-    // an earlier epoch of this file; the replay resets cursors, so any
-    // such records are now stale.
-    let _ = machine.clear_checkpoint_records();
-    scrub_scheduler_state(machine, &sched, false);
-    if cfg.check_transitions {
-        crate::capsules::install_transition_checker(machine, sched.deques());
-    }
-
-    let root = comp(done.finale());
-    let run = run_root_on(machine, &sched, root, done);
-    machine
-        .flush()
-        .expect("flushing recovered machine to stable storage");
-    SessionReport {
-        epoch: machine.epoch(),
-        mode: SessionMode::Replayed,
-        found_jobs,
-        found_locals,
-        found_taken,
-        live_restart_pointers,
-        resumed: 0,
-        fallback_reason: Some(FallbackReason::LegacyClosures),
-        checkpoint_resume: None,
         cluster: None,
         trace: None,
         run: Some(run),
@@ -1038,11 +922,11 @@ fn proc_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppm_core::{comp_fork2, comp_step, par_all, Comp};
-    use ppm_pm::{FaultConfig, PmConfig, ProcCtx, Region};
+    use ppm_core::par_for;
+    use ppm_pm::{FaultConfig, PmConfig, Region};
 
-    fn write_marker(r: Region, i: usize) -> Comp {
-        comp_step("mark", move |ctx: &mut ProcCtx| {
+    fn markers(r: Region, n: usize) -> PComp {
+        par_for("mark", r, n, |r: &Region, i, ctx| {
             ctx.pwrite(r.at(i), i as u64 + 1)
         })
     }
@@ -1055,8 +939,8 @@ mod tests {
     fn single_proc_runs_flat_computation() {
         let m = machine(1, FaultConfig::none());
         let r = m.alloc_region(64);
-        let comp = par_all((0..8).map(|i| write_marker(r, i)).collect());
-        let rep = run_computation_impl(&m, &comp, &SchedConfig::with_slots(256));
+        let comp = markers(r, 8);
+        let rep = run_persistent_impl(&m, &comp, &SchedConfig::with_slots(256));
         assert!(rep.completed);
         assert_eq!(rep.outcomes, vec![ProcOutcome::Halted]);
         for i in 0..8 {
@@ -1068,8 +952,8 @@ mod tests {
     fn two_procs_share_forked_work() {
         let m = machine(2, FaultConfig::none());
         let r = m.alloc_region(64);
-        let comp = comp_fork2(write_marker(r, 0), write_marker(r, 1));
-        let rep = run_computation_impl(&m, &comp, &SchedConfig::with_slots(256));
+        let comp = markers(r, 2);
+        let rep = run_persistent_impl(&m, &comp, &SchedConfig::with_slots(256));
         assert!(rep.completed);
         assert_eq!(m.mem().load(r.at(0)), 1);
         assert_eq!(m.mem().load(r.at(1)), 2);
@@ -1080,10 +964,10 @@ mod tests {
         let m = machine(4, FaultConfig::none());
         let n = 64;
         let r = m.alloc_region(n);
-        let comp = par_all((0..n).map(|i| write_marker(r, i)).collect());
+        let comp = markers(r, n);
         let mut cfg = SchedConfig::with_slots(1024);
         cfg.check_transitions = true;
-        let rep = run_computation_impl(&m, &comp, &cfg);
+        let rep = run_persistent_impl(&m, &comp, &cfg);
         assert!(rep.completed);
         for i in 0..n {
             assert_eq!(m.mem().load(r.at(i)), i as u64 + 1, "task {i}");
@@ -1096,8 +980,8 @@ mod tests {
             let m = machine(4, FaultConfig::soft(0.02, seed));
             let n = 48;
             let r = m.alloc_region(n);
-            let comp = par_all((0..n).map(|i| write_marker(r, i)).collect());
-            let rep = run_computation_impl(&m, &comp, &SchedConfig::with_slots(1024));
+            let comp = markers(r, n);
+            let rep = run_persistent_impl(&m, &comp, &SchedConfig::with_slots(1024));
             assert!(rep.completed, "seed {seed}");
             assert!(rep.stats.soft_faults > 0, "seed {seed} should see faults");
             for i in 0..n {
@@ -1112,8 +996,8 @@ mod tests {
         let m = machine(4, FaultConfig::none().with_scheduled_hard_fault(0, 40));
         let n = 32;
         let r = m.alloc_region(n);
-        let comp = par_all((0..n).map(|i| write_marker(r, i)).collect());
-        let rep = run_computation_impl(&m, &comp, &SchedConfig::with_slots(1024));
+        let comp = markers(r, n);
+        let rep = run_persistent_impl(&m, &comp, &SchedConfig::with_slots(1024));
         assert!(rep.completed);
         assert_eq!(rep.dead_procs(), 1);
         assert_eq!(rep.outcomes[0], ProcOutcome::Dead);
@@ -1132,8 +1016,8 @@ mod tests {
         });
         let n = 32;
         let r = m.alloc_region(n);
-        let comp = par_all((0..n).map(|i| write_marker(r, i)).collect());
-        let rep = run_computation_impl(&m, &comp, &SchedConfig::with_slots(1024));
+        let comp = markers(r, n);
+        let rep = run_persistent_impl(&m, &comp, &SchedConfig::with_slots(1024));
         assert!(rep.completed);
         assert_eq!(rep.dead_procs(), 3);
         for i in 0..n {
@@ -1149,8 +1033,8 @@ mod tests {
                 .with_scheduled_hard_fault(1, 10)
         });
         let r = m.alloc_region(64);
-        let comp = par_all((0..16).map(|i| write_marker(r, i)).collect());
-        let rep = run_computation_impl(&m, &comp, &SchedConfig::with_slots(512));
+        let comp = markers(r, 16);
+        let rep = run_persistent_impl(&m, &comp, &SchedConfig::with_slots(512));
         assert!(!rep.completed);
         assert_eq!(rep.dead_procs(), 2);
     }
@@ -1159,7 +1043,6 @@ mod tests {
     fn fallback_reasons_render_and_expose_decode_errors() {
         let reasons = [
             FallbackReason::NoFrontier,
-            FallbackReason::LegacyClosures,
             FallbackReason::StealInFlight {
                 victim: 0,
                 slot: 3,

@@ -13,8 +13,8 @@
 //! * [`capsules`] — `popTop`, `helpPopTop`, `pushBottom`, `popBottom`,
 //!   `findWork` and `scheduler` as capsule state machines with the paper's
 //!   exact commit boundaries.
-//! * [`driver`] — one OS thread per model processor; runs fork-join
-//!   computations to completion and reports cost statistics, including
+//! * [`driver`] — one OS thread per model processor; runs registered
+//!   fork-join computations ([`PComp`]) to completion and reports cost statistics, including
 //!   the cross-process recovery paths (resume via the capsule registry,
 //!   replay from the root).
 //! * [`runtime`] — the user-facing session object: [`Runtime`] wraps a
@@ -32,8 +32,7 @@
 //!   processes attach to one `MAP_SHARED` machine file as independent
 //!   fault domains, with a lease-based cross-process liveness oracle and
 //!   dead-shard adoption through the ordinary steal protocol
-//!   ([`cluster::ClusterBuilder`] is the one entry point; the old free
-//!   functions survive as deprecated shims).
+//!   ([`cluster::ClusterBuilder`] is the one entry point).
 //! * [`service`] — service mode over the cluster: a durable MPMC
 //!   injector queue in the machine file from which live shards pull jobs
 //!   continuously, live-shard deque stealing, and the
@@ -60,8 +59,8 @@ pub mod sim;
 pub use capsules::{Sched, SchedConfig, VictimStrategy};
 pub use checkpoint::{CheckpointPolicy, CheckpointSummary, CheckpointTrigger};
 pub use cluster::{
-    ClusterBuilder, ClusterConfig, ClusterObserver, ClusterRole, ClusterSummary, ShardBuild,
-    ShardDomain, ShardReport, DEFAULT_LEASE_MS,
+    ClusterBuilder, ClusterObserver, ClusterRole, ClusterSummary, ShardBuild, ShardDomain,
+    ShardReport, DEFAULT_LEASE_MS,
 };
 pub use deque::{build_deques, check_invariant, render, snapshot, DequeAddrs, DequeSnapshot};
 pub use driver::{

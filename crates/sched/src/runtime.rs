@@ -1,12 +1,10 @@
 //! `Runtime`: one session object for running and recovering computations.
 //!
-//! The pre-session API exposed four free functions (`run_computation`,
-//! `run_persistent`, `recover_computation`, `recover_persistent`) and
-//! left the caller to decide which to call — i.e. to re-implement the
-//! "did the previous process crash?" dispatch at every call site. A
-//! [`Runtime`] owns that decision: it wraps a [`Machine`] plus a
-//! [`SchedConfig`], and its one entry point for persistent computations,
-//! [`Runtime::run_or_recover`], dispatches internally to
+//! A [`Runtime`] owns the "did the previous process crash?" decision so
+//! that no call site re-implements it: it wraps a [`Machine`] plus a
+//! [`SchedConfig`], and its one entry point, [`Runtime::run_or_recover`],
+//! takes a registered computation ([`PComp`]) and dispatches internally
+//! to
 //!
 //! * a **fresh run** when the machine has no crashed predecessor
 //!   (volatile machines, or the creating run of a durable file),
@@ -18,10 +16,6 @@
 //!   previous run already finished,
 //!
 //! and always returns the same unified [`SessionReport`].
-//!
-//! [`Runtime::run_or_replay`] is the equivalent single entry point for
-//! legacy closure computations (which can only ever replay after a
-//! crash).
 //!
 //! ## Sessions and determinism
 //!
@@ -58,14 +52,11 @@
 //! assert_eq!(rt.machine().mem().load(out.at(5)), 6);
 //! ```
 
-use ppm_core::{Comp, Machine};
+use ppm_core::Machine;
 use ppm_pm::PmConfig;
 
 use crate::capsules::SchedConfig;
-use crate::driver::{
-    recover_computation_impl, recover_persistent_impl, run_computation_impl, run_persistent_impl,
-    PComp, SessionReport,
-};
+use crate::driver::{recover_persistent_impl, run_persistent_impl, PComp, SessionReport};
 
 /// Configuration for a [`Runtime`] session: the machine shape plus the
 /// scheduler shape.
@@ -186,46 +177,6 @@ impl Runtime {
         })
     }
 
-    /// Runs a sharded multi-process session: creates the durable machine
-    /// file at `path`, plants one sub-root per shard, spawns
-    /// `cfg.shards` worker processes (via `spawn_worker`, which receives
-    /// the shard index and returns the command that will call
-    /// [`crate::cluster::run_worker`] for it), and monitors the run —
-    /// leases, worker exits, the completion flag — until it completes or
-    /// the deadline fires. Workers form independent fault domains:
-    /// killing one mid-run costs bounded replay while the survivors
-    /// adopt its deque frontier and the run keeps going. See
-    /// [`crate::cluster`] for the full protocol.
-    #[cfg(unix)]
-    #[deprecated(
-        note = "use cluster::ClusterBuilder::new(path).machine(pm).workers(n)….run(&build, spawn)"
-    )]
-    pub fn sharded(
-        path: impl AsRef<std::path::Path>,
-        cfg: &crate::cluster::ClusterConfig,
-        build: &crate::cluster::ShardBuild,
-        spawn_worker: impl FnMut(usize) -> std::process::Command,
-    ) -> std::io::Result<SessionReport> {
-        let mut b = crate::cluster::ClusterBuilder::new(path)
-            .machine(cfg.pm.clone())
-            .workers(cfg.shards)
-            .lease_ms(cfg.lease_ms)
-            .deque_slots(cfg.deque_slots)
-            .seed(cfg.seed)
-            .victim_strategy(cfg.victim_strategy)
-            .deadline(cfg.deadline);
-        if let Some(w) = cfg.pool_words {
-            b = b.pool_words(w);
-        }
-        if let Some(every) = cfg.checkpoint_every {
-            b = b.checkpoint_every(every);
-        }
-        if let Some(svc) = cfg.service {
-            b = b.service(true).service_config(svc);
-        }
-        b.run(build, spawn_worker)
-    }
-
     /// Starts a persistent job service: creates the durable machine file
     /// at `path` with an injector queue of `workers * procs_per_shard`
     /// model processors, spawns the worker processes, and returns a live
@@ -272,7 +223,7 @@ impl Runtime {
         ppm_obs::Obs::metrics_port_from_env().and_then(|p| self.machine.obs().serve(p).ok())
     }
 
-    /// Session prologue shared by both entry points: when `PPM_TRACE_FILE`
+    /// Session prologue: when `PPM_TRACE_FILE`
     /// asks for a trace, open the causal span sidecar
     /// (`<trace>.spans.jsonl`) and hand it to the machine's [`ppm_obs::Obs`]
     /// so every processor context streams span records. Origin 0 is the
@@ -290,7 +241,7 @@ impl Runtime {
         }
     }
 
-    /// Session epilogue shared by both entry points: close the event
+    /// Session epilogue: close the event
     /// trace (RunEnd, sidecar flush per `PPM_TRACE_FILE`) and embed its
     /// summary in the report.
     fn finish_session(&self, mut report: SessionReport) -> SessionReport {
@@ -370,40 +321,6 @@ impl Runtime {
         self.finish_session(report)
     }
 
-    /// Runs a legacy closure computation: a fresh run on a fresh session,
-    /// a scrub-and-replay recovery on a recovering one. Closure capsules
-    /// cannot be rehydrated, so crash recovery always replays from the
-    /// root (idempotence makes that correct; registered computations
-    /// should prefer [`Runtime::run_or_recover`]).
-    pub fn run_or_replay(&self, comp: &Comp) -> SessionReport {
-        let _metrics = self.auto_metrics();
-        self.attach_span_sink();
-        self.machine
-            .obs()
-            .tracer()
-            .record_with(ppm_obs::TraceKind::RunStart, None, None, || {
-                format!(
-                    "closure session, epoch {} ({})",
-                    self.machine.epoch(),
-                    if self.is_recovery() {
-                        "recovering"
-                    } else {
-                        "fresh"
-                    }
-                )
-            });
-        let report = if self.is_recovery() {
-            recover_computation_impl(&self.machine, comp, &self.sched)
-        } else {
-            let epoch = self.machine.epoch();
-            SessionReport::fresh_run(
-                epoch,
-                run_computation_impl(&self.machine, comp, &self.sched),
-            )
-        };
-        self.finish_session(report)
-    }
-
     /// Forces all stored words to stable storage (no-op for volatile
     /// sessions).
     pub fn flush(&self) -> std::io::Result<()> {
@@ -425,19 +342,13 @@ impl Runtime {
 mod tests {
     use super::*;
     use crate::SessionMode;
-    use ppm_core::{comp_step, par_all, Comp};
-    use ppm_pm::{FaultConfig, ProcCtx};
+    use ppm_core::par_for;
+    use ppm_pm::{FaultConfig, Region};
 
-    fn marker_comp(r: ppm_pm::Region, n: usize) -> Comp {
-        par_all(
-            (0..n)
-                .map(|i| {
-                    comp_step("mark", move |ctx: &mut ProcCtx| {
-                        ctx.pcam(r.at(i), 0, i as u64 + 1)
-                    })
-                })
-                .collect(),
-        )
+    fn marker_comp(r: Region, n: usize) -> PComp {
+        par_for("mark", r, n, |r: &Region, i, ctx| {
+            ctx.pcam(r.at(i), 0, i as u64 + 1)
+        })
     }
 
     #[test]
@@ -448,7 +359,7 @@ mod tests {
         );
         assert!(!rt.is_recovery());
         let r = rt.machine().alloc_region(32);
-        let rep = rt.run_or_replay(&marker_comp(r, 16));
+        let rep = rt.run_or_recover(&marker_comp(r, 16));
         assert_eq!(rep.mode, SessionMode::FreshRun);
         assert!(rep.completed());
         assert_eq!(rep.epoch, 0);
@@ -481,7 +392,7 @@ mod tests {
             let rt = Runtime::create(&path, cfg()).unwrap();
             assert!(!rt.is_recovery());
             let r = rt.machine().alloc_region(32);
-            let rep = rt.run_or_replay(&marker_comp(r, 16));
+            let rep = rt.run_or_recover(&marker_comp(r, 16));
             assert_eq!(rep.mode, SessionMode::FreshRun);
             assert!(!rep.completed(), "the scheduled hard fault kills the run");
         }
@@ -492,13 +403,13 @@ mod tests {
         .unwrap();
         assert!(rt.is_recovery());
         let r = rt.machine().alloc_region(32);
-        let rep = rt.run_or_replay(&marker_comp(r, 16));
-        assert_eq!(rep.mode, SessionMode::Replayed);
+        let rep = rt.run_or_recover(&marker_comp(r, 16));
+        assert!(
+            matches!(rep.mode, SessionMode::Resumed | SessionMode::Replayed),
+            "a reopened session must dispatch to recovery, got {:?}",
+            rep.mode
+        );
         assert!(rep.completed());
-        assert!(matches!(
-            rep.fallback_reason,
-            Some(crate::FallbackReason::LegacyClosures)
-        ));
         for i in 0..16 {
             assert_eq!(rt.machine().mem().load(r.at(i)), i as u64 + 1);
         }
@@ -515,12 +426,12 @@ mod tests {
         {
             let rt = Runtime::create(&path, cfg.clone()).unwrap();
             let r = rt.machine().alloc_region(32);
-            assert!(rt.run_or_replay(&marker_comp(r, 8)).completed());
+            assert!(rt.run_or_recover(&marker_comp(r, 8)).completed());
             rt.mark_clean().unwrap();
         }
         let rt = Runtime::open(&path, cfg).unwrap();
         let r = rt.machine().alloc_region(32);
-        let rep = rt.run_or_replay(&marker_comp(r, 8));
+        let rep = rt.run_or_recover(&marker_comp(r, 8));
         assert_eq!(rep.mode, SessionMode::AlreadyComplete);
         assert!(rep.completed() && rep.already_complete());
         assert!(rep.run.is_none());

@@ -34,7 +34,7 @@
 use std::sync::Arc;
 
 use ppm_core::registry::PComp;
-use ppm_core::{run_capsule, Comp, Cont, DoneFlag, InstallCtx, Machine, Step, CORE_ID_FINALE};
+use ppm_core::{run_capsule, Cont, DoneFlag, InstallCtx, Machine, Step, CORE_ID_FINALE};
 use ppm_pm::{ProcCtx, Word};
 
 use crate::capsules::{Sched, SchedConfig};
@@ -178,21 +178,12 @@ pub struct SimSched<'m> {
 }
 
 impl<'m> SimSched<'m> {
-    /// A simulator over a legacy-closure computation (the `comp` is the
-    /// same shape [`crate::Runtime::run_or_replay`] takes). The root
-    /// thread seats on processor 0; every other processor starts at
-    /// `findWork`, per §6.3.
-    pub fn new_closure(machine: &'m Machine, comp: &Comp, cfg: &SchedConfig) -> Self {
-        let done = DoneFlag::new(machine);
-        let root = comp(done.finale());
-        let root_slot = machine.alloc_region(1).start;
-        machine.arena().preregister(root_slot, root.clone());
-        Self::seat(machine, done, root, root_slot as Word, cfg)
-    }
-
-    /// A simulator over a persistent-capsule computation: the root (and
-    /// every fork) is frame-denoted, so scripted checkpoints can trace
-    /// and GC the frame pools, and crashes leave a resumable machine.
+    /// A simulator over a registered computation (the `pcomp` is the
+    /// same shape [`crate::Runtime::run_or_recover`] takes). The root
+    /// thread seats on processor 0 and every other processor starts at
+    /// `findWork`, per §6.3. The root (and every fork) is frame-denoted,
+    /// so scripted checkpoints can trace and GC the frame pools, and
+    /// crashes leave a resumable machine.
     pub fn new_persistent(machine: &'m Machine, pcomp: &PComp, cfg: &SchedConfig) -> Self {
         let done = DoneFlag::new(machine);
         let finale = machine.setup_frame(CORE_ID_FINALE, &[done.addr() as Word]);
@@ -266,9 +257,9 @@ impl<'m> SimSched<'m> {
         self.machine.mem().store(self.done.addr(), 1);
     }
 
-    /// §6.3 seating shared by both roots (mirrors the driver's
-    /// `launch_root`): processor 0's first entry is `local`, its restart
-    /// pointer is the root handle; everyone else installs `findWork`.
+    /// §6.3 seating (mirrors the driver's `launch_root`): processor 0's
+    /// first entry is `local`, its restart pointer is the root handle;
+    /// everyone else installs `findWork`.
     fn seat(
         machine: &'m Machine,
         done: DoneFlag,
@@ -539,23 +530,17 @@ impl<'m> SimSched<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppm_core::{par_all, Comp};
+    use ppm_core::par_for;
     use ppm_pm::{FaultConfig, PmConfig, ProcCtx, Region};
 
     fn machine(p: usize, f: FaultConfig) -> Machine {
         Machine::new(PmConfig::parallel(p, 1 << 21).with_fault(f))
     }
 
-    fn markers(r: Region, n: usize) -> Comp {
-        par_all(
-            (0..n)
-                .map(|i| {
-                    ppm_core::comp_step("sim/mark", move |ctx: &mut ProcCtx| {
-                        ctx.pwrite(r.at(i), i as u64 + 1)
-                    })
-                })
-                .collect(),
-        )
+    fn markers(r: Region, n: usize) -> PComp {
+        par_for("sim/mark", r, n, |r: &Region, i, ctx| {
+            ctx.pwrite(r.at(i), i as u64 + 1)
+        })
     }
 
     #[test]
@@ -563,7 +548,7 @@ mod tests {
         let m = machine(2, FaultConfig::none());
         let r = m.alloc_region(64);
         let comp = markers(r, 8);
-        let mut sim = SimSched::new_closure(&m, &comp, &SchedConfig::with_slots(256));
+        let mut sim = SimSched::new_persistent(&m, &comp, &SchedConfig::with_slots(256));
         sim.run_to_completion(10_000);
         let rep = sim.finish();
         assert!(rep.completed);
@@ -577,7 +562,7 @@ mod tests {
         let m = machine(2, FaultConfig::none());
         let r = m.alloc_region(64);
         let comp = markers(r, 8);
-        let mut sim = SimSched::new_closure(&m, &comp, &SchedConfig::with_slots(256));
+        let mut sim = SimSched::new_persistent(&m, &comp, &SchedConfig::with_slots(256));
         // Let the root processor fork a bit, then kill it; processor 1
         // must finish everything through steals and adoption.
         sim.run_script(&[SimOp::Run(0, 6), SimOp::Crash(0)]);
@@ -601,7 +586,7 @@ mod tests {
         let m = machine(2, FaultConfig::none().with_scheduled_hard_fault(0, 12));
         let r = m.alloc_region(64);
         let comp = markers(r, 8);
-        let mut sim = SimSched::new_closure(&m, &comp, &SchedConfig::with_slots(256));
+        let mut sim = SimSched::new_persistent(&m, &comp, &SchedConfig::with_slots(256));
         sim.run_to_completion(10_000);
         assert!(sim
             .events()
@@ -781,7 +766,7 @@ mod tests {
             let m = machine(3, FaultConfig::none());
             let r = m.alloc_region(64);
             let comp = markers(r, 12);
-            let mut sim = SimSched::new_closure(&m, &comp, &SchedConfig::with_slots(256));
+            let mut sim = SimSched::new_persistent(&m, &comp, &SchedConfig::with_slots(256));
             sim.run_seeded(seed, 4_000);
             (sim.render_trace(), sim.digest(), sim.completed())
         };

@@ -4,10 +4,9 @@
 
 use std::sync::Arc;
 
-use ppm_core::{
-    capsule, end_capsule, run_capsule, Cont, DoneFlag, InstallCtx, Machine, Next, Step,
-};
-use ppm_pm::{PmConfig, Word};
+use ppm_core::dsl::{CapsuleSet, Step as DslStep, K};
+use ppm_core::{capsule, run_capsule, Cont, DoneFlag, InstallCtx, Machine, Next, PComp, Step};
+use ppm_pm::{PmConfig, Region, Word};
 use ppm_sched::{
     check_invariant, kind_of, pack, run_root_on, unpack, EntryKind, EntryVal, Sched, SchedConfig,
 };
@@ -226,22 +225,16 @@ fn own_jobs_are_popped_from_the_bottom_lifo() {
 fn full_run_on_prebuilt_sched_reports_and_checks() {
     let (m, sched, done) = setup(2);
     let out = m.alloc_region(8);
-    let root = capsule("root", move |ctx| {
-        ctx.pwrite(out.at(0), 5)?;
-        Ok(Next::End)
-    });
-    // run_root_on requires the root to eventually set done; wrap it.
-    let root_then_done = {
-        let finale = done.finale();
-        capsule("root+done", move |ctx| {
+    let root: PComp = Arc::new(move |m: &Machine, finale| {
+        let mut set = CapsuleSet::new(m);
+        let write = set.define("root", |out: &Region, k, ctx| {
             ctx.pwrite(out.at(0), 5)?;
-            Ok(Next::Jump(finale.clone()))
-        })
-    };
-    let _ = root;
-    let rep = run_root_on(&m, &sched, root_then_done, done);
+            Ok(DslStep::Jump(k))
+        });
+        write.setup(m, &out, K(finale)).0
+    });
+    let rep = run_root_on(&m, &sched, &root, done);
     assert!(rep.completed);
     assert_eq!(m.mem().load(out.at(0)), 5);
     assert_eq!(rep.deque_dump.len(), 2);
-    let _ = end_capsule();
 }

@@ -77,14 +77,17 @@ mod scenario {
     }
 
     /// Reads the newest valid checkpoint record straight off the file.
+    /// Reads only the two record slots: the poll must stay far cheaper
+    /// than one checkpoint epoch, or a fast worker finishes between polls.
     fn newest_record(path: &Path) -> Option<CheckpointRecord> {
-        let bytes = std::fs::read(path).ok()?;
+        use std::os::unix::fs::FileExt;
+        let file = std::fs::File::open(path).ok()?;
+        let mut slot = vec![0u8; CKPT_SLOT_BYTES];
         CKPT_SLOT_OFFSETS
             .iter()
             .filter_map(|off| {
-                CheckpointRecord::decode(bytes.get(*off..*off + CKPT_SLOT_BYTES)?)
-                    .ok()
-                    .flatten()
+                file.read_exact_at(&mut slot, *off as u64).ok()?;
+                CheckpointRecord::decode(&slot).ok().flatten()
             })
             .max_by_key(|r| r.seq)
     }

@@ -12,9 +12,11 @@
 //!    set, then delivers `SIGKILL` (no handler can run: this is a real
 //!    crash, not a simulated fault);
 //! 3. opens a fresh `Runtime` session on the file, reports how much
-//!    progress the dead run had made, and calls `run_or_replay`, which
-//!    re-attaches fresh OS threads to the persisted scheduler state and
-//!    drives the computation to completion;
+//!    progress the dead run had made, and calls `run_or_recover`, which
+//!    re-attaches fresh OS threads to the persisted scheduler state,
+//!    resumes the crash frontier (or replays from the root when the
+//!    frontier is not resumable), and drives the computation to
+//!    completion;
 //! 4. verifies exactly-once effects: every marker cell holds its expected
 //!    value, cells the dead run already marked were never written again
 //!    during recovery (observed with a write observer), and cells it had
@@ -46,8 +48,8 @@ mod scenario {
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
-    use ppm::core::{comp_step, par_all, Comp, Machine};
-    use ppm::pm::{PmConfig, ProcCtx, Region, Word, SUPERBLOCK_BYTES};
+    use ppm::core::{par_for, Machine, PComp};
+    use ppm::pm::{PmConfig, Region, Word, SUPERBLOCK_BYTES};
     use ppm::sched::{Runtime, RuntimeConfig};
 
     const PROCS: usize = 4;
@@ -83,26 +85,25 @@ mod scenario {
     /// CAM makes the mark a once-only effect no matter how many times the
     /// task body runs (simulated-fault restarts and crash-recovery replay
     /// alike).
-    fn build_comp(scratch: Region, markers: Region) -> Comp {
-        par_all(
-            (0..TASKS)
-                .map(|i| {
-                    comp_step("mark", move |ctx: &mut ProcCtx| {
-                        for k in 0..BUSY_READS {
-                            ctx.pread(scratch.at((i * 31 + k * 7) % scratch.len))?;
-                        }
-                        std::thread::sleep(TASK_SLEEP);
-                        ctx.pcam(markers.at(i), 0, i as Word + 1)
-                    })
-                })
-                .collect(),
+    fn build_comp(scratch: Region, markers: Region) -> PComp {
+        par_for(
+            "mark",
+            (scratch, markers),
+            TASKS,
+            |&(scratch, markers): &(Region, Region), i, ctx| {
+                for k in 0..BUSY_READS {
+                    ctx.pread(scratch.at((i * 31 + k * 7) % scratch.len))?;
+                }
+                std::thread::sleep(TASK_SLEEP);
+                ctx.pcam(markers.at(i), 0, i as Word + 1)
+            },
         )
     }
 
     pub fn child(path: &str) {
         let rt = Runtime::create(path, runtime_cfg()).expect("create durable session");
         let (scratch, markers) = alloc_regions(rt.machine());
-        let rep = rt.run_or_replay(&build_comp(scratch, markers));
+        let rep = rt.run_or_recover(&build_comp(scratch, markers));
         rt.mark_clean().expect("flush completed run");
         std::process::exit(if rep.completed() { 0 } else { 1 });
     }
@@ -182,12 +183,13 @@ mod scenario {
                 }
             })));
 
-        let rec = rt.run_or_replay(&build_comp(scratch, markers));
+        let rec = rt.run_or_recover(&build_comp(scratch, markers));
         let run = rec.run.as_ref().expect("crash left the run incomplete");
         assert!(run.completed, "recovery must finish the computation");
         println!(
-            "recovered: {} in-flight deque entries found ({} jobs, {} locals, {} taken), \
+            "recovered ({:?}): {} in-flight deque entries found ({} jobs, {} locals, {} taken), \
              {} live restart pointers; recovery ran {} capsules in {:?}",
+            rec.mode,
             rec.found_in_flight(),
             rec.found_jobs,
             rec.found_locals,

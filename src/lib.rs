@@ -14,7 +14,8 @@
 //!   write-after-read validation, and the storage backends
 //!   (`pm::backend`) that decide where the words physically live.
 //! * [`core`] (`ppm-core`) — capsules, continuations, restart semantics,
-//!   join cells, fork-join combinators, machines (including durable
+//!   join cells, the typed fork-join DSL whose computations (`PComp`)
+//!   persist every continuation as a frame, machines (including durable
 //!   machines: `core::Machine::create_durable` / `core::Machine::reopen`).
 //! * [`sched`] (`ppm-sched`) — the fault-tolerant WS-deque and scheduler,
 //!   the ABP baseline, the `Runtime` session object with cross-process
@@ -47,14 +48,14 @@
 //! `sched::Runtime::run_or_recover` drives the computation to completion
 //! with every effect applied exactly once:
 //!
-//! * **Resume**: computations built from *registered persistent
+//! * **Resume**: every computation is built from *registered persistent
 //!   capsules* — continuations stored as `(capsule_id, args…)` frames in
 //!   persistent memory (`pm::frame`), re-materialized through
-//!   `core::CapsuleRegistry` — have their in-flight deque entries and
-//!   restart pointers rehydrated and re-planted, so recovery pays only
-//!   for the work that was lost. All §7 algorithms ship in this form
-//!   (`algs::PrefixSum::pcomp`, `algs::MergeSort::pcomp`,
-//!   `algs::SampleSort::pcomp`, `algs::MatMul::pcomp`);
+//!   `core::CapsuleRegistry` — so its in-flight deque entries and
+//!   restart pointers are rehydrated and re-planted, and recovery pays
+//!   only for the work that was lost. The §7 algorithms are
+//!   `algs::PrefixSum::pcomp`, `algs::MergeSort::pcomp`,
+//!   `algs::SampleSort::pcomp` and `algs::MatMul::pcomp`;
 //!   `examples/crash_resume.rs` SIGKILLs a worker and verifies the
 //!   resumed run beats a from-root replay.
 //! * **Checkpoint resume** (`sched::checkpoint`): persistent runs
@@ -64,17 +65,18 @@
 //!   re-plants the newest checkpoint's frontier instead of replaying
 //!   from the root — replay distance is bounded by one checkpoint
 //!   epoch (`examples/checkpointed_run.rs`).
-//! * **Replay** (`sched::Runtime::run_or_replay`, also the last-resort
-//!   fallback of `run_or_recover`): legacy closure computations are
-//!   scrubbed and re-driven from the root, relying on capsule idempotence
-//!   for exactly-once effects. `examples/crash_recovery.rs` demonstrates
-//!   this scenario end to end.
+//! * **Replay** (the last-resort fallback of `run_or_recover`, with a
+//!   structured `sched::FallbackReason`): when neither the crash frontier
+//!   nor a checkpoint is resumable, the scheduler state is scrubbed and
+//!   the computation re-driven from the root, relying on capsule
+//!   idempotence for exactly-once effects. `examples/crash_recovery.rs`
+//!   SIGKILLs a worker and verifies exactly-once effects end to end.
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use ppm::core::{comp_step, par_all};
-//! use ppm::pm::{FaultConfig, PmConfig, ProcCtx};
+//! use ppm::core::par_for;
+//! use ppm::pm::{FaultConfig, PmConfig, Region};
 //! use ppm::sched::{Runtime, RuntimeConfig};
 //!
 //! // A session on a 4-processor machine where every persistent access
@@ -86,14 +88,13 @@
 //! );
 //! let out = rt.machine().alloc_region(16);
 //!
-//! // Sixteen parallel tasks, each one idempotent capsule.
-//! let comp = par_all(
-//!     (0..16)
-//!         .map(|i| comp_step("task", move |ctx: &mut ProcCtx| ctx.pwrite(out.at(i), i as u64 + 1)))
-//!         .collect(),
-//! );
+//! // Sixteen parallel tasks, each one idempotent capsule whose frame
+//! // carries the output region.
+//! let comp = par_for("task", out, 16, |out: &Region, i, ctx| {
+//!     ctx.pwrite(out.at(i), i as u64 + 1)
+//! });
 //!
-//! let report = rt.run_or_replay(&comp);
+//! let report = rt.run_or_recover(&comp);
 //! assert!(report.completed());
 //! for i in 0..16 {
 //!     assert_eq!(rt.machine().mem().load(out.at(i)), i as u64 + 1);

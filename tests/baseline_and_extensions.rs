@@ -1,17 +1,13 @@
 //! The ABP baseline comparison and the paper-flagged extensions
 //! (footnote 2's Asymmetric PM cost model).
 
-use ppm::core::{comp_step, par_all, Comp, Machine};
-use ppm::pm::{PmConfig, ProcCtx, Region};
+use ppm::core::{par_for, Machine, PComp};
+use ppm::pm::{PmConfig, Region};
 use ppm::sched::abp::run_computation_abp;
 use ppm::sched::{Runtime, SchedConfig};
 
-fn tasks(r: Region, n: usize) -> Comp {
-    par_all(
-        (0..n)
-            .map(|i| comp_step("leaf", move |ctx: &mut ProcCtx| ctx.pwrite(r.at(i), 1)))
-            .collect(),
-    )
+fn tasks(r: Region, n: usize) -> PComp {
+    par_for("leaf", r, n, |r: &Region, i, ctx| ctx.pwrite(r.at(i), 1))
 }
 
 #[test]
@@ -21,7 +17,7 @@ fn abp_and_fault_tolerant_schedulers_compute_the_same_result() {
         let m1 = Machine::new(PmConfig::parallel(procs, 1 << 21));
         let r1 = m1.alloc_region(n);
         let rt1 = Runtime::new(m1, SchedConfig::with_slots(1 << 11));
-        assert!(rt1.run_or_replay(&tasks(r1, n)).completed());
+        assert!(rt1.run_or_recover(&tasks(r1, n)).completed());
 
         let m2 = Machine::new(PmConfig::parallel(procs, 1 << 21));
         let r2 = m2.alloc_region(n);
@@ -47,7 +43,7 @@ fn fault_tolerance_overhead_vs_abp_is_a_constant_factor() {
         let m = Machine::new(PmConfig::parallel(1, 1 << 21));
         let r = m.alloc_region(n);
         let rt = Runtime::new(m, SchedConfig::with_slots(1 << 11));
-        let rep = rt.run_or_replay(&tasks(r, n));
+        let rep = rt.run_or_recover(&tasks(r, n));
         assert!(rep.completed());
         rep.stats().total_work()
     };
@@ -72,7 +68,7 @@ fn asymmetric_pm_accounting_footnote_2() {
     let m = Machine::new(PmConfig::parallel(2, 1 << 21));
     let r = m.alloc_region(64);
     let rt = Runtime::new(m, SchedConfig::with_slots(1 << 11));
-    let rep = rt.run_or_replay(&tasks(r, 64));
+    let rep = rt.run_or_recover(&tasks(r, 64));
     assert!(rep.completed());
     let st = rep.stats();
     let w1 = st.asymmetric_work(1);
@@ -98,7 +94,7 @@ fn read_write_split_is_consistent_and_install_heavy() {
     );
     let ps = ppm::algs::PrefixSum::new(rt.machine(), 1 << 12);
     ps.load_input(rt.machine(), &vec![1u64; 1 << 12]);
-    let rep = rt.run_or_replay(&ps.comp());
+    let rep = rt.run_or_recover(&ps.pcomp());
     assert!(rep.completed());
     let st = rep.stats();
     assert_eq!(st.total_reads + st.total_writes, st.total_work());

@@ -1,15 +1,15 @@
 //! Crash-recovery integration tests: a durable session whose run is cut
 //! short (every processor hard-faults, the in-process analogue of the
 //! process dying) is reopened and recovered through
-//! `Runtime::run_or_replay`, and every task's once-only effect is applied
+//! `Runtime::run_or_recover`, and every task's once-only effect is applied
 //! exactly once across the two process lifetimes.
 #![cfg(unix)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ppm::core::{comp_step, par_all, Comp, Machine};
-use ppm::pm::{FaultConfig, PmConfig, ProcCtx, Region, Word};
+use ppm::core::{par_for, Machine, PComp};
+use ppm::pm::{FaultConfig, PmConfig, Region, Word};
 use ppm::sched::{Runtime, RuntimeConfig, SchedConfig, SessionMode};
 
 // Guarded temp paths: removed on drop, so failing assertions clean up too.
@@ -28,16 +28,10 @@ fn rt_cfg(pm: PmConfig) -> RuntimeConfig {
 }
 
 /// Task `i` CAMs its marker from unset to `i + 1`: a once-only effect.
-fn build_comp(markers: Region) -> Comp {
-    par_all(
-        (0..N)
-            .map(|i| {
-                comp_step("mark", move |ctx: &mut ProcCtx| {
-                    ctx.pcam(markers.at(i), 0, i as Word + 1)
-                })
-            })
-            .collect(),
-    )
+fn build_comp(markers: Region) -> PComp {
+    par_for("mark", markers, N, |markers: &Region, i, ctx| {
+        ctx.pcam(markers.at(i), 0, i as Word + 1)
+    })
 }
 
 #[test]
@@ -63,7 +57,7 @@ fn recovery_after_mid_run_stop_applies_every_task_exactly_once() {
         )
         .unwrap();
         let markers = rt.machine().alloc_region(N);
-        let rep = rt.run_or_replay(&build_comp(markers));
+        let rep = rt.run_or_recover(&build_comp(markers));
         assert!(
             !rep.completed(),
             "all processors dead: the run must stop early"
@@ -97,10 +91,14 @@ fn recovery_after_mid_run_stop_applies_every_task_exactly_once() {
             }
         })));
 
-    let rec = rt.run_or_replay(&build_comp(markers));
+    let rec = rt.run_or_recover(&build_comp(markers));
     assert!(!rec.already_complete());
     assert!(rec.completed(), "recovery must finish the computation");
-    assert_eq!(rec.mode, SessionMode::Replayed);
+    assert!(
+        matches!(rec.mode, SessionMode::Resumed | SessionMode::Replayed),
+        "a crashed session recovers, got {:?}",
+        rec.mode
+    );
     assert!(
         rec.found_in_flight() > 0,
         "a mid-run stop leaves in-flight deque entries behind"
@@ -134,7 +132,7 @@ fn recovery_of_completed_run_reruns_nothing() {
     {
         let rt = Runtime::create(&path, rt_cfg(cfg())).unwrap();
         let markers = rt.machine().alloc_region(N);
-        assert!(rt.run_or_replay(&build_comp(markers)).completed());
+        assert!(rt.run_or_recover(&build_comp(markers)).completed());
         rt.mark_clean().unwrap();
     }
     let rt = Runtime::open(&path, rt_cfg(cfg())).unwrap();
@@ -150,7 +148,7 @@ fn recovery_of_completed_run_reruns_nothing() {
             }
         })));
 
-    let rec = rt.run_or_replay(&build_comp(markers));
+    let rec = rt.run_or_recover(&build_comp(markers));
     assert!(rec.already_complete(), "completion flag is persistent");
     assert!(rec.run.is_none(), "nothing re-driven");
     assert!(rec.completed());
@@ -182,7 +180,7 @@ fn recovery_survives_repeated_crashes() {
         )
         .unwrap();
         let markers = rt.machine().alloc_region(N);
-        assert!(!rt.run_or_replay(&build_comp(markers)).completed());
+        assert!(!rt.run_or_recover(&build_comp(markers)).completed());
     }
     {
         // Second lifetime also dies mid-recovery.
@@ -200,13 +198,13 @@ fn recovery_survives_repeated_crashes() {
         )
         .unwrap();
         let markers = rt.machine().alloc_region(N);
-        let rec = rt.run_or_replay(&build_comp(markers));
+        let rec = rt.run_or_recover(&build_comp(markers));
         assert!(!rec.completed(), "this recovery was itself cut short");
     }
     let rt = Runtime::open(&path, rt_cfg(cfg())).unwrap();
     assert_eq!(rt.machine().epoch(), 3);
     let markers = rt.machine().alloc_region(N);
-    let rec = rt.run_or_replay(&build_comp(markers));
+    let rec = rt.run_or_recover(&build_comp(markers));
     assert!(rec.completed());
     for i in 0..N {
         assert_eq!(
@@ -243,11 +241,11 @@ fn recovery_with_transition_checking_scrubs_without_tripping_the_checker() {
         )
         .unwrap();
         let markers = rt.machine().alloc_region(N);
-        assert!(!rt.run_or_replay(&build_comp(markers)).completed());
+        assert!(!rt.run_or_recover(&build_comp(markers)).completed());
     }
     let rt = Runtime::open(&path, rt_cfg(cfg()).with_sched(scfg)).unwrap();
     let markers = rt.machine().alloc_region(N);
-    let rec = rt.run_or_replay(&build_comp(markers));
+    let rec = rt.run_or_recover(&build_comp(markers));
     assert!(
         rec.completed(),
         "recovery with the checker on must complete"
@@ -268,13 +266,13 @@ fn durable_and_volatile_runs_compute_identical_results() {
     let volatile = {
         let rt = Runtime::new(Machine::new(cfg()), SchedConfig::with_slots(1 << 10));
         let markers = rt.machine().alloc_region(N);
-        assert!(rt.run_or_replay(&build_comp(markers)).completed());
+        assert!(rt.run_or_recover(&build_comp(markers)).completed());
         rt.machine().mem().to_vec(markers.start, N)
     };
     let durable = {
         let rt = Runtime::create(&path, rt_cfg(cfg())).unwrap();
         let markers = rt.machine().alloc_region(N);
-        assert!(rt.run_or_replay(&build_comp(markers)).completed());
+        assert!(rt.run_or_recover(&build_comp(markers)).completed());
         rt.mark_clean().unwrap();
         rt.machine().mem().to_vec(markers.start, N)
     };

@@ -2,16 +2,15 @@
 //! fork-join computations under randomized soft- and hard-fault
 //! adversaries, with strict validation and Figure 4 transition checking.
 
-use ppm::core::{comp_dyn, comp_fork2, comp_nop, comp_step, par_all, Comp, Machine};
-use ppm::pm::{FaultConfig, PmConfig, ProcCtx, Region};
-use ppm::sched::{ProcOutcome, Runtime, SchedConfig, SessionReport};
+use std::sync::Arc;
 
-fn marker_tasks(r: Region, n: usize) -> Comp {
-    par_all(
-        (0..n)
-            .map(|i| comp_step("mark", move |ctx: &mut ProcCtx| ctx.pwrite(r.at(i), 1)))
-            .collect(),
-    )
+use ppm::core::dsl::{fork2, CapsuleSet, Step, K};
+use ppm::core::{par_for, Machine, PComp};
+use ppm::pm::{FaultConfig, PmConfig, Region};
+use ppm::sched::{ProcOutcome, Runtime, SchedConfig, SessionReport, SimEvent, SimSched};
+
+fn marker_tasks(r: Region, n: usize) -> PComp {
+    par_for("mark", r, n, |r: &Region, i, ctx| ctx.pwrite(r.at(i), 1))
 }
 
 fn assert_all_marked(m: &Machine, r: Region, n: usize, tag: &str) {
@@ -24,24 +23,30 @@ fn assert_all_marked(m: &Machine, r: Region, n: usize, tag: &str) {
     }
 }
 
-/// Runs a closure computation on a fresh session over `m`.
-fn run(m: Machine, comp: &Comp, cfg: SchedConfig) -> (Runtime, SessionReport) {
+/// Runs a registered computation on a fresh session over `m`.
+fn run(m: Machine, comp: &PComp, cfg: SchedConfig) -> (Runtime, SessionReport) {
     let rt = Runtime::new(m, cfg);
-    let rep = rt.run_or_replay(comp);
+    let rep = rt.run_or_recover(comp);
     (rt, rep)
 }
 
 /// An unbalanced recursive computation: a "spine" that forks a leaf at
 /// every level — the worst case for steal distribution.
-fn skewed(r: Region, i: usize, n: usize) -> Comp {
-    if i >= n {
-        return comp_nop();
-    }
-    comp_dyn("spine", move |_ctx| {
-        Ok(comp_fork2(
-            comp_step("leaf", move |ctx: &mut ProcCtx| ctx.pwrite(r.at(i), 1)),
-            skewed(r, i + 1, n),
-        ))
+fn skewed(r: Region, n: usize) -> PComp {
+    Arc::new(move |m: &Machine, finale| {
+        let mut set = CapsuleSet::new(m);
+        let leaf = set.define("leaf", |&(r, i): &(Region, usize), k, ctx| {
+            ctx.pwrite(r.at(i), 1)?;
+            Ok(Step::Jump(k))
+        });
+        let spine = set.declare::<(Region, usize, usize)>("spine");
+        set.body(spine, move |&(r, i, n), k, ctx| {
+            if i >= n {
+                return Ok(Step::Jump(k));
+            }
+            fork2(ctx, (leaf, &(r, i)), (spine, &(r, i + 1, n)), k)
+        });
+        spine.setup(m, &(r, 0, n), K(finale)).0
     })
 }
 
@@ -64,7 +69,7 @@ fn skewed_spine_distributes_over_steals() {
     let m = Machine::new(PmConfig::parallel(4, 1 << 21));
     let n = 64;
     let r = m.alloc_region(n);
-    let (rt, rep) = run(m, &skewed(r, 0, n), SchedConfig::with_slots(1 << 11));
+    let (rt, rep) = run(m, &skewed(r, n), SchedConfig::with_slots(1 << 11));
     assert!(rep.completed());
     assert_all_marked(rt.machine(), r, n, "skewed");
 }
@@ -137,20 +142,49 @@ fn adversarial_hard_fault_placements_on_root() {
 fn cascading_deaths_during_recovery() {
     // The first thief to adopt a dead processor's thread dies too; the
     // thread must be adopted again (thief-of-thief, Lemma A.9's chain).
-    let m = Machine::new(
-        PmConfig::parallel(4, 1 << 21).with_fault(
-            FaultConfig::none()
-                .with_scheduled_hard_fault(0, 30)
-                .with_scheduled_hard_fault(1, 120)
-                .with_scheduled_hard_fault(2, 260),
-        ),
-    );
+    // Scripted on the deterministic simulator so the cascade happens on
+    // every run: proc 0 dies mid-thread after forking, then procs 1 and 2
+    // each die mid-thread right after adopting a dead processor's thread.
+    let m = Machine::new(PmConfig::parallel(4, 1 << 21));
     let n = 48;
     let r = m.alloc_region(n);
-    let (rt, rep) = run(m, &marker_tasks(r, n), SchedConfig::with_slots(1 << 11));
-    assert!(rep.completed());
-    assert_eq!(rep.dead_procs(), 3);
-    assert_all_marked(rt.machine(), r, n, "cascade");
+    let comp = marker_tasks(r, n);
+    let mut sim = SimSched::new_persistent(&m, &comp, &SchedConfig::with_slots(1 << 11));
+    // Steps `p` alone until `pred` holds for one of its events.
+    let step_until = |sim: &mut SimSched<'_>, p: usize, pred: &dyn Fn(&str, &str) -> bool| {
+        let hit = (0..20_000).any(
+            |_| matches!(sim.step(p), SimEvent::Ran { capsule, next, .. } if pred(&capsule, &next)),
+        );
+        assert!(
+            hit,
+            "p{p} never reached its crash point\n{}",
+            sim.render_trace()
+        );
+    };
+    // Proc 0 forks three subtrees, then dies holding its running thread.
+    for _ in 0..3 {
+        step_until(&mut sim, 0, &|c, _| c == "sched/pushBottom/commit");
+    }
+    sim.crash(0);
+    for thief in [1, 2] {
+        // The thief adopts a dead processor's running thread (a `local`
+        // entry), forks once inside it, and dies.
+        step_until(&mut sim, thief, &|c, next| {
+            c == "sched/popTop/checkLocal" && !next.starts_with("sched/")
+        });
+        step_until(&mut sim, thief, &|c, _| c == "sched/pushBottom/commit");
+        sim.crash(thief);
+    }
+    sim.run_to_completion(200_000);
+    let rep = sim.finish();
+    assert!(rep.completed);
+    let dead = rep
+        .outcomes
+        .iter()
+        .filter(|o| **o == Some(ProcOutcome::Dead))
+        .count();
+    assert_eq!(dead, 3);
+    assert_all_marked(&m, r, n, "cascade");
 }
 
 #[test]
@@ -159,19 +193,19 @@ fn deep_sequential_chain_under_faults() {
     // the install/restart path rather than stealing.
     let m = Machine::new(PmConfig::parallel(2, 1 << 21).with_fault(FaultConfig::soft(0.02, 9)));
     let r = m.alloc_region(256);
-    let chain: Vec<Comp> = (0..200)
-        .map(|i| {
-            comp_step("link", move |ctx: &mut ProcCtx| {
-                let prev = if i == 0 { 0 } else { ctx.pread(r.at(i - 1))? };
-                ctx.pwrite(r.at(i), prev + 1)
-            })
-        })
-        .collect();
-    let (rt, rep) = run(
-        m,
-        &ppm::core::seq_all(chain),
-        SchedConfig::with_slots(1 << 11),
-    );
+    let chain: PComp = Arc::new(move |m: &Machine, finale| {
+        let mut set = CapsuleSet::new(m);
+        let link = set.define("link", |&(r, i): &(Region, usize), k, ctx| {
+            let prev = if i == 0 { 0 } else { ctx.pread(r.at(i - 1))? };
+            ctx.pwrite(r.at(i), prev + 1)?;
+            Ok(Step::Jump(k))
+        });
+        (0..200)
+            .rev()
+            .fold(K(finale), |next, i| link.setup(m, &(r, i), next))
+            .0
+    });
+    let (rt, rep) = run(m, &chain, SchedConfig::with_slots(1 << 11));
     assert!(rep.completed());
     assert_eq!(
         rt.machine().mem().load(r.at(199)),

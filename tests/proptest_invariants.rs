@@ -1,8 +1,8 @@
 //! Property-based tests over the reproduction's core invariants.
 
 use ppm::algs::{merge_seq, prefix_sum_seq, Merge, MergeSort, PrefixSum};
-use ppm::core::{comp_step, par_all, Machine};
-use ppm::pm::{FaultConfig, PmConfig, ProcCtx};
+use ppm::core::{par_for, Machine};
+use ppm::pm::{FaultConfig, PmConfig, Region};
 use ppm::sched::{pack, unpack, EntryKind, EntryVal, Runtime, SchedConfig};
 use proptest::prelude::*;
 
@@ -72,7 +72,7 @@ proptest! {
         );
         let ps = PrefixSum::new(rt.machine(), data.len());
         ps.load_input(rt.machine(), &data);
-        prop_assert!(rt.run_or_replay(&ps.comp()).completed());
+        prop_assert!(rt.run_or_recover(&ps.pcomp()).completed());
         prop_assert_eq!(ps.read_output(rt.machine()), prefix_sum_seq(&data));
     }
 
@@ -90,7 +90,7 @@ proptest! {
         );
         let mg = Merge::new(rt.machine(), a.len(), b.len());
         mg.load_inputs(rt.machine(), &a, &b);
-        prop_assert!(rt.run_or_replay(&mg.comp()).completed());
+        prop_assert!(rt.run_or_recover(&mg.pcomp()).completed());
         prop_assert_eq!(mg.read_output(rt.machine()), merge_seq(&a, &b));
     }
 
@@ -103,7 +103,7 @@ proptest! {
         );
         let ms = MergeSort::new(rt.machine(), data.len());
         ms.load_input(rt.machine(), &data);
-        prop_assert!(rt.run_or_replay(&ms.comp()).completed());
+        prop_assert!(rt.run_or_recover(&ms.pcomp()).completed());
         let mut expect = data.clone();
         expect.sort_unstable();
         prop_assert_eq!(ms.read_output(rt.machine()), expect);
@@ -127,13 +127,9 @@ proptest! {
         let m = Machine::new(PmConfig::parallel(procs, 1 << 21).with_fault(fault));
         let r = m.alloc_region(n);
         // Counter-style tasks: a duplicated execution would overshoot.
-        let comp = par_all(
-            (0..n)
-                .map(|i| comp_step("inc", move |ctx: &mut ProcCtx| ctx.pwrite(r.at(i), 1)))
-                .collect(),
-        );
+        let comp = par_for("inc", r, n, |r: &Region, i, ctx| ctx.pwrite(r.at(i), 1));
         let rt = Runtime::new(m, SchedConfig::with_slots(1 << 11));
-        prop_assert!(rt.run_or_replay(&comp).completed());
+        prop_assert!(rt.run_or_recover(&comp).completed());
         for i in 0..n {
             prop_assert_eq!(rt.machine().mem().load(r.at(i)), 1);
         }
@@ -149,13 +145,9 @@ proptest! {
         );
         let n = 24;
         let r = m.alloc_region(n);
-        let comp = par_all(
-            (0..n)
-                .map(|i| comp_step("inc", move |ctx: &mut ProcCtx| ctx.pwrite(r.at(i), 1)))
-                .collect(),
-        );
+        let comp = par_for("inc", r, n, |r: &Region, i, ctx| ctx.pwrite(r.at(i), 1));
         let rt = Runtime::new(m, SchedConfig::with_slots(1 << 11));
-        prop_assert!(rt.run_or_replay(&comp).completed());
+        prop_assert!(rt.run_or_recover(&comp).completed());
         for i in 0..n {
             prop_assert_eq!(rt.machine().mem().load(r.at(i)), 1);
         }

@@ -5,8 +5,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use ppm::core::{comp_step, par_all, Machine};
-use ppm::pm::{MemStats, PmConfig, ProcCtx};
+use ppm::core::{par_for, Machine};
+use ppm::pm::{MemStats, PmConfig, Region};
 use ppm::sched::{Runtime, SchedConfig};
 use proptest::prelude::*;
 
@@ -292,13 +292,11 @@ fn validate_prometheus(text: &str) {
 fn exporter_output_is_valid_prometheus_text() {
     let m = Machine::new(PmConfig::parallel(4, 1 << 20));
     let out = m.alloc_region(64);
-    let comp = par_all(
-        (0..64)
-            .map(|i| comp_step("leaf", move |ctx: &mut ProcCtx| ctx.pwrite(out.at(i), 1)))
-            .collect(),
-    );
+    let comp = par_for("leaf", out, 64, |out: &Region, i, ctx| {
+        ctx.pwrite(out.at(i), 1)
+    });
     let rt = Runtime::new(m, SchedConfig::with_slots(1 << 10));
-    let rep = rt.run_or_replay(&comp);
+    let rep = rt.run_or_recover(&comp);
     assert!(rep.completed());
 
     let text = rt.machine().obs().registry().render();
