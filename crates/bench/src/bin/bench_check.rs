@@ -7,16 +7,26 @@
 //! ```
 //!
 //! The baseline is itself a [`ppm_bench::BenchReport`]-formatted file
-//! whose metric keys are `"<experiment>.<metric>"`. Every baselined
-//! metric is lower-is-better (times, overhead factors); the gate fails
-//! when `current > threshold * baseline`. The threshold is generous
+//! whose metric keys are `"<experiment>.<metric>"`. Baselined metrics
+//! come in two classes:
+//!
+//! * **ceilings** — lower-is-better costs (times, overhead factors, work
+//!   ratios): the gate fails when `current > threshold * baseline`;
+//! * **floors** — coverage counts ([`FLOOR_METRICS`]: trials run, steals
+//!   observed), where more means the run exercised more: the gate fails
+//!   when `current < baseline`, and each baseline is the lowest value
+//!   seen over repeated runs.
+//!
+//! The ceiling threshold is generous
 //! (default 1.5x) and the checked-in baselines themselves carry slack
 //! over measured values, so the gate catches real regressions (3x+)
 //! rather than CI-runner noise. A baselined metric missing from the
 //! current run also fails — it means an experiment stopped emitting.
 //!
-//! `--update` rewrites the baseline from the current reports (times the
-//! slack factor), for refreshing after an intentional change. The
+//! `--update` rewrites the baseline from the current reports (ceilings
+//! times the slack factor, floors as measured), for refreshing after an
+//! intentional change; lower each floor by hand to the minimum of
+//! repeated runs. The
 //! scrape-embedded `obs.*` series are excluded — they are run-to-run
 //! nondeterministic observability snapshots, not benchmark results.
 //!
@@ -40,12 +50,24 @@ const UPDATE_SLACK: f64 = 2.0;
 /// are deterministic and can be held to [`UPDATE_SLACK`].
 const WALL_SLACK: f64 = 10.0;
 
+/// Coverage counts, gated as floors (see the module docs).
+const FLOOR_METRICS: &[&str] = &[
+    "exp_fig3_correctness.trials",
+    "exp_fig4_transitions.observed_steals",
+];
+
+fn is_floor(key: &str) -> bool {
+    FLOOR_METRICS.contains(&key)
+}
+
 /// Picks the `--update` slack for a metric by its unit suffix. One
 /// exception: the steal-backoff p99 is produced by a deterministic
 /// policy probe and quantized to power-of-two histogram buckets — it is
 /// exactly reproducible despite its wall-clock unit, so it stays tight.
 fn update_slack(key: &str) -> f64 {
-    if key.ends_with("steal_backoff_p99_us") {
+    if is_floor(key) {
+        1.0
+    } else if key.ends_with("steal_backoff_p99_us") {
         UPDATE_SLACK
     } else if key.ends_with("_ms") || key.ends_with("_us") {
         WALL_SLACK
@@ -128,7 +150,9 @@ fn main() {
                 if k.starts_with("obs.") {
                     continue;
                 }
-                baseline.metric(format!("{}.{k}", rep.name), v * update_slack(k));
+                let key = format!("{}.{k}", rep.name);
+                let slack = update_slack(&key);
+                baseline.metric(key, v * slack);
             }
         }
         if let Some(parent) = args.baseline.parent() {
@@ -140,7 +164,7 @@ fn main() {
         });
         println!(
             "baseline rewritten from current reports (x{UPDATE_SLACK} slack, \
-             x{WALL_SLACK} for wall-clock metrics): {}",
+             x{WALL_SLACK} for wall-clock metrics, floors as measured): {}",
             args.baseline.display()
         );
         return;
@@ -165,10 +189,10 @@ fn main() {
 
     if args.trend {
         // Markdown for the CI job summary: where each baselined metric
-        // sits relative to its allowance. Lower is better everywhere, so
-        // negative deltas are headroom and >0% is drift toward the gate
-        // (which fires at +{(threshold-1)*100}% past the slack-padded
-        // baseline). Never fails — the gating run below is separate.
+        // sits relative to its allowance. For ceilings, negative deltas
+        // are headroom and >0% is drift toward the gate (which fires at
+        // +{(threshold-1)*100}% past the slack-padded baseline); floors
+        // fire below 0%. Never fails — the gating run below is separate.
         println!("### Bench trend (gate: {}x baseline)\n", args.threshold);
         println!("| metric | current | baseline | delta |");
         println!("|:---|---:|---:|---:|");
@@ -211,26 +235,35 @@ fn main() {
             }
             Some(cur) => {
                 let ratio = if *base > 0.0 { cur / base } else { 0.0 };
-                let ok = cur <= base * args.threshold;
+                let ok = if is_floor(key) {
+                    cur >= *base
+                } else {
+                    cur <= base * args.threshold
+                };
                 if !ok {
                     failures += 1;
                 }
                 println!(
                     "{key:<44} {cur:>12.3} {base:>12.3} {ratio:>7.2}x  {}",
-                    if ok { "ok" } else { "REGRESSION" }
+                    match (ok, is_floor(key)) {
+                        (true, _) => "ok",
+                        (false, false) => "REGRESSION",
+                        (false, true) => "BELOW FLOOR",
+                    }
                 );
             }
         }
     }
     if failures > 0 {
         eprintln!(
-            "\nbench_check FAILED: {failures} metric(s) regressed past {}x (or went missing)",
+            "\nbench_check FAILED: {failures} metric(s) regressed past {}x, fell below \
+             their floor, or went missing",
             args.threshold
         );
         exit(1);
     }
     println!(
-        "\nbench_check passed: all {} baselined metric(s) within {}x",
+        "\nbench_check passed: all {} baselined metric(s) within {}x or above their floor",
         baseline.metrics.len(),
         args.threshold
     );

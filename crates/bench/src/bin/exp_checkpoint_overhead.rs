@@ -4,8 +4,8 @@
 //!
 //! 1. **Flush microbenchmark** — after dirtying a fixed number of pages,
 //!    the time of a whole-mapping `flush()` (`msync` over the file)
-//!    versus the dirty-tracked `flush_dirty()` (msync over only the
-//!    touched page runs). This is the per-boundary saving that makes
+//!    versus the dirty-tracked `flush_dirty()` (one msync over the hull
+//!    of the touched pages). This is the per-boundary saving that makes
 //!    frequent checkpoints affordable.
 //! 2. **End-to-end epoch sweep** — the same checkpointed prefix-sum run
 //!    at several `every_capsules` intervals (plus checkpointing
@@ -49,8 +49,7 @@ fn micros(d: Duration) -> f64 {
 /// Times one flush flavor over `trials` rounds of dirtying
 /// [`DIRTY_PAGES`] contiguous pages first — the shape of a real epoch's
 /// write footprint (pool churn, deque words and output live in localized
-/// regions; widely scattered footprints make `flush_dirty` degrade to a
-/// full flush by design).
+/// regions).
 fn flush_micro(machine: &Machine, trials: usize, full: bool) -> f64 {
     let mem = machine.mem();
     let total_pages = MICRO_WORDS / PAGE_WORDS;

@@ -34,7 +34,10 @@ fn main() {
         PmConfig::parallel(cli.procs(4), 1 << 22)
             .with_fault(FaultConfig::soft(0.01, 4).with_scheduled_hard_fault(2, 900)),
     );
-    let n = cli.n(160);
+    // Enough leaves that thieves still find jobs once their threads are
+    // up: Job->Taken (a steal) is a transition the run must exercise, and
+    // with 160 leaves the owner often finished before any thief arrived.
+    let n = cli.n(1280);
     let r = machine.alloc_region(n);
     let comp = par_for("leaf", r, n, |r: &Region, i, ctx| ctx.pwrite(r.at(i), 1));
     let done = DoneFlag::new(&machine);

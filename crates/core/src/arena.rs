@@ -177,6 +177,15 @@ impl ContArena {
             }))
     }
 
+    /// Drops every closure registration. A scheduler's closures hold the
+    /// scheduler, which holds this arena: [`crate::Machine`] calls this
+    /// when dropped so that cycle cannot keep its memory alive.
+    pub fn clear(&self) {
+        for shard in &self.shards {
+            shard.write().clear();
+        }
+    }
+
     /// Number of live registrations (diagnostics).
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.read().len()).sum()

@@ -81,6 +81,15 @@ pub struct Machine {
     epoch: u64,
 }
 
+impl Drop for Machine {
+    /// Breaks the arena's reference cycle (see [`ContArena::clear`]):
+    /// without it a dropped machine's memory — for a durable machine, the
+    /// file mapping and its descriptor — is never released.
+    fn drop(&mut self) {
+        self.arena.clear();
+    }
+}
+
 /// Default per-processor allocation pool size in words. Each fork consumes
 /// `CLOSURE_WORDS + 1` (child closure + join cell), so this supports on the
 /// order of 10^5 forks per processor; construct with

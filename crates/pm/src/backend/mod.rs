@@ -90,10 +90,10 @@ pub trait MemBackend: Send + Sync + Debug {
         false
     }
 
-    /// Forces only the given word runs (page-aligned, from
-    /// [`crate::DirtyTracker::drain`]) to stable storage — the
-    /// incremental twin of [`MemBackend::flush`]. The default falls back
-    /// to a full flush, which is always correct.
+    /// Forces at least the given word runs (page-aligned, sorted and
+    /// disjoint, from [`crate::DirtyTracker::drain`]) to stable storage —
+    /// the incremental twin of [`MemBackend::flush`]. The default falls
+    /// back to a full flush, which is always correct.
     fn flush_dirty(&self, _runs: &[PageRun]) -> io::Result<()> {
         self.flush()
     }

@@ -5,7 +5,9 @@
 /// at runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ValidateMode {
-    /// No dynamic checking; fastest. Used by benchmarks.
+    /// No dynamic checking; fastest. Only `exp_abp_compare` runs in this
+    /// mode, to time the non-fault-tolerant ABP baseline; `perfbench/`
+    /// and every other experiment run [`ValidateMode::Strict`].
     Off,
     /// Record write-after-read conflicts and well-formedness violations in
     /// statistics, but do not panic. Useful for measuring how close a

@@ -11,13 +11,12 @@
 //! The tracker is a bitmap of [`PAGE_WORDS`]-word pages (one 4 KiB OS
 //! page each, matching the mapping's `msync` granularity) maintained by
 //! [`crate::mem::PersistentMemory`]: every applied mutation — costed or
-//! uncosted, word or block — marks its page(s) with one relaxed
-//! `fetch_or`. Marking is monotone and race-free in the "never lose a
-//! page" direction at any time; the *drain* ([`DirtyTracker::drain`])
-//! clears bits as it collects them and is therefore exact only while the
-//! machine is quiescent (no concurrent stores), which is precisely when
-//! checkpoints run — the scheduler parks every processor at a capsule
-//! boundary first.
+//! uncosted, word or block — marks its page(s): one relaxed load, and a
+//! relaxed `fetch_or` only when the page's bit is still clear. The
+//! *drain* ([`DirtyTracker::drain`]) clears bits as it collects them and
+//! is therefore exact only while the machine is quiescent (no concurrent
+//! stores), which is precisely when checkpoints run — the scheduler parks
+//! every processor at a capsule boundary first.
 //!
 //! The tracker sits outside the model: marking is machine bookkeeping
 //! (like statistics), costs no external transfers, and never faults.
@@ -64,11 +63,20 @@ impl DirtyTracker {
 
     /// Marks the page containing `addr` dirty. Out-of-range addresses are
     /// ignored (the store they describe would have panicked first).
+    ///
+    /// Tests the bit before setting it: a page is stored to many times
+    /// between drains, and a plain load of a set bit costs far less than
+    /// a locked read-modify-write. The test can only skip a mark that
+    /// finds the bit set, which the drain, run under quiescence, then
+    /// still sees.
     #[inline]
     pub fn mark(&self, addr: Addr) {
         if addr < self.len_words {
             let page = addr / PAGE_WORDS;
-            self.bits[page / 64].fetch_or(1 << (page % 64), Ordering::Relaxed);
+            let (word, bit) = (&self.bits[page / 64], 1 << (page % 64));
+            if word.load(Ordering::Relaxed) & bit == 0 {
+                word.fetch_or(bit, Ordering::Relaxed);
+            }
         }
     }
 

@@ -27,7 +27,7 @@
 //!   reconstructed); it exists only so the non-fault-tolerant ABP baseline
 //!   scheduler can be implemented for comparison.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -42,36 +42,14 @@ use crate::word::{Addr, Word};
 /// the model and does not affect cost or semantics.
 pub type WriteObserver = Arc<dyn Fn(Addr, Word, Word) + Send + Sync>;
 
-/// Dirty runs separated by at most this many clean pages are flushed as
-/// one range: an `msync` syscall's fixed cost exceeds the kernel's cost
-/// of skipping the clean pages in between.
-pub const COALESCE_GAP_PAGES: usize = 32;
-
-/// Most runs an incremental flush will issue as separate syscalls before
-/// degrading to one whole-mapping flush.
-pub const MAX_DIRTY_RUNS: usize = 8;
-
-/// Merges word runs whose gaps are at most `gap_words` (input runs are
-/// sorted and disjoint, as produced by [`DirtyTracker::drain`]).
-fn coalesce(runs: Vec<crate::dirty::PageRun>, gap_words: usize) -> Vec<crate::dirty::PageRun> {
-    let mut out: Vec<crate::dirty::PageRun> = Vec::with_capacity(runs.len());
-    for (start, len) in runs {
-        match out.last_mut() {
-            Some((s, l)) if start <= *s + *l + gap_words => *l = start + len - *s,
-            _ => out.push((start, len)),
-        }
-    }
-    out
-}
-
-/// What an incremental flush synced: how many pages, in how many
-/// contiguous runs, and whether it degraded to a full flush (backend
+/// What an incremental flush synced: how many dirty pages, in how many
+/// contiguous runs, and whether it fell back to a full flush (backend
 /// without dirty tracking).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DirtyFlush {
-    /// Pages synced.
+    /// Dirty pages synced (every page, for a full flush).
     pub pages: usize,
-    /// Contiguous page runs the pages coalesced into.
+    /// Maximal runs of consecutive dirty pages.
     pub runs: usize,
     /// Whether the whole mapping was synced instead of tracked pages.
     pub full: bool,
@@ -89,6 +67,12 @@ pub struct PersistentMemory {
     len: usize,
     block_size: usize,
     observer: RwLock<Option<WriteObserver>>,
+    /// Whether `observer` holds an observer, so the store path skips the
+    /// lock when none is installed. Written under the observer's write
+    /// lock; read with `SeqCst` after each applied mutation, so every
+    /// mutation ordered after [`PersistentMemory::set_observer`] returns
+    /// is seen.
+    observed: AtomicBool,
     /// Page-granular dirty bitmap feeding [`PersistentMemory::flush_dirty`].
     /// Present only when the backend asks for it (durable backends whose
     /// flush cost scales with the synced range); `None` keeps volatile
@@ -142,6 +126,7 @@ impl PersistentMemory {
             len,
             block_size,
             observer: RwLock::new(None),
+            observed: AtomicBool::new(false),
             dirty,
             dirty_hist: RwLock::new(None),
         }
@@ -194,16 +179,9 @@ impl PersistentMemory {
     /// [`PersistentMemory::flush`] when the backend tracks no dirty
     /// state. On an `msync` error the bitmap is re-marked in full so the
     /// next attempt cannot under-sync.
-    ///
-    /// Each synced run is one `msync` syscall, whose fixed cost dwarfs
-    /// the per-clean-page cost of a larger range — so nearby runs are
-    /// coalesced across small gaps, and a pathologically scattered
-    /// footprint (more than [`MAX_DIRTY_RUNS`] runs even after
-    /// coalescing) degrades to one whole-mapping flush, which is never
-    /// slower than that many syscalls.
     pub fn flush_dirty(&self) -> std::io::Result<DirtyFlush> {
-        let full_pages = self.len.div_ceil(PAGE_WORDS);
         let Some(d) = &self.dirty else {
+            let full_pages = self.len.div_ceil(PAGE_WORDS);
             self.flush()?;
             self.observe_dirty_runs(std::iter::once(full_pages));
             return Ok(DirtyFlush {
@@ -212,30 +190,15 @@ impl PersistentMemory {
                 full: true,
             });
         };
-        let runs = coalesce(d.drain(), COALESCE_GAP_PAGES * PAGE_WORDS);
-        if runs.len() > MAX_DIRTY_RUNS {
-            if let Err(e) = self.backend.flush() {
-                d.mark_all();
-                return Err(e);
-            }
-            self.observe_dirty_runs(std::iter::once(full_pages));
-            return Ok(DirtyFlush {
-                pages: full_pages,
-                runs: 1,
-                full: true,
-            });
-        }
-        let pages = runs
-            .iter()
-            .map(|(_, len)| len.div_ceil(PAGE_WORDS))
-            .sum::<usize>();
+        let runs = d.drain();
         if let Err(e) = self.backend.flush_dirty(&runs) {
             d.mark_all();
             return Err(e);
         }
-        self.observe_dirty_runs(runs.iter().map(|(_, len)| len.div_ceil(PAGE_WORDS)));
+        let page_lens = runs.iter().map(|(_, len)| len.div_ceil(PAGE_WORDS));
+        self.observe_dirty_runs(page_lens.clone());
         Ok(DirtyFlush {
-            pages,
+            pages: page_lens.sum(),
             runs: runs.len(),
             full: false,
         })
@@ -259,11 +222,16 @@ impl PersistentMemory {
     /// but per-address it sees every applied mutation exactly once with
     /// the true previous value.
     pub fn set_observer(&self, obs: Option<WriteObserver>) {
-        *self.observer.write() = obs;
+        let mut slot = self.observer.write();
+        self.observed.store(obs.is_some(), Ordering::SeqCst);
+        *slot = obs;
     }
 
     #[inline]
     fn observe(&self, addr: Addr, prev: Word, new: Word) {
+        if !self.observed.load(Ordering::SeqCst) {
+            return;
+        }
         if let Some(obs) = self.observer.read().as_ref() {
             obs(addr, prev, new);
         }
@@ -470,6 +438,31 @@ mod tests {
         assert_eq!(log.lock().len(), 3);
     }
 
+    #[test]
+    fn observer_installed_mid_run_sees_every_later_mutation() {
+        use parking_lot::Mutex;
+        let m = PersistentMemory::new(4, 1);
+        m.store(0, 1);
+        m.store(1, 2);
+        m.cam(0, 1, 3);
+        let log: Arc<Mutex<Vec<(Addr, Word, Word)>>> = Arc::new(Mutex::new(Vec::new()));
+        let log2 = log.clone();
+        m.set_observer(Some(Arc::new(move |a, p, n| log2.lock().push((a, p, n)))));
+        m.store(0, 4);
+        m.cam(1, 2, 5);
+        m.write_range(2, &[6, 7]);
+        assert!(m.cas_unsafe_under_faults(3, 7, 8));
+        assert_eq!(
+            *log.lock(),
+            vec![(0, 3, 4), (1, 2, 5), (2, 0, 6), (3, 0, 7), (3, 7, 8)],
+            "the true previous values, including those stored unobserved"
+        );
+        m.set_observer(None);
+        m.store(0, 9);
+        m.cam(1, 5, 10);
+        assert_eq!(log.lock().len(), 5, "nothing observed after removal");
+    }
+
     /// A volatile backend that opts into dirty tracking, for exercising
     /// the marking paths without a file.
     #[derive(Debug)]
@@ -509,8 +502,8 @@ mod tests {
         let flush = m.flush_dirty().unwrap();
         assert_eq!(
             (flush.pages, flush.runs),
-            (4, 1),
-            "pages 0,1,3 coalesce across the 1-page gap into one 4-page run"
+            (3, 2),
+            "dirty pages 0, 1 and 3 form two runs; the clean page 2 is not counted"
         );
         assert!(!flush.full);
         // Nothing stored since: the next incremental flush is free.
@@ -526,19 +519,34 @@ mod tests {
     }
 
     #[test]
-    fn widely_scattered_dirty_pages_degrade_to_one_full_flush() {
+    fn scattered_dirty_pages_flush_incrementally() {
         use crate::dirty::PAGE_WORDS;
-        // More than MAX_DIRTY_RUNS runs, each isolated by > the coalesce
-        // gap: one whole-mapping flush beats that many msync calls.
-        let pages = (super::MAX_DIRTY_RUNS + 2) * (super::COALESCE_GAP_PAGES + 2);
-        let m = tracked(pages * PAGE_WORDS);
-        for r in 0..super::MAX_DIRTY_RUNS + 2 {
-            m.store(r * (super::COALESCE_GAP_PAGES + 2) * PAGE_WORDS, 1);
+        // Many isolated runs are still one incremental flush, counting
+        // only the dirty pages.
+        let m = tracked(400 * PAGE_WORDS);
+        for r in 0..10 {
+            m.store(r * 40 * PAGE_WORDS, 1);
         }
         let flush = m.flush_dirty().unwrap();
-        assert!(flush.full);
-        assert_eq!(flush.runs, 1);
+        assert_eq!((flush.pages, flush.runs, flush.full), (10, 10, false));
         assert_eq!(m.dirty_tracker().unwrap().dirty_pages(), 0);
+    }
+
+    #[test]
+    fn a_drained_page_stored_again_is_marked_again() {
+        use crate::dirty::PAGE_WORDS;
+        let m = tracked(4 * PAGE_WORDS);
+        let t = m.dirty_tracker().unwrap();
+        m.store(PAGE_WORDS + 3, 1);
+        m.store(PAGE_WORDS + 4, 2); // bit already set: no second mark
+        assert_eq!(m.flush_dirty().unwrap().pages, 1);
+        assert!(!t.is_dirty(PAGE_WORDS));
+        m.store(PAGE_WORDS + 3, 3);
+        assert!(t.is_dirty(PAGE_WORDS), "the drained page is dirty again");
+        m.cam(PAGE_WORDS + 3, 3, 4);
+        assert_eq!(m.flush_dirty().unwrap().pages, 1);
+        m.cam(2 * PAGE_WORDS, 0, 5);
+        assert_eq!(t.dirty_pages(), 1);
     }
 
     #[test]

@@ -15,11 +15,12 @@
 //! boundary:
 //!
 //! 1. **Dirty-block incremental flush.** Instead of `msync`ing the whole
-//!    mapping, [`ppm_pm::PersistentMemory::flush_dirty`] syncs only the
-//!    pages mutated since the previous boundary (the page-run bitmap of
-//!    [`ppm_pm::dirty`]). The flush cost is proportional to the epoch's
-//!    write footprint, not the file size — which is what makes frequent
-//!    boundaries affordable (`exp_checkpoint_overhead` measures this).
+//!    mapping, [`ppm_pm::PersistentMemory::flush_dirty`] syncs, in one
+//!    `msync`, the span of the pages mutated since the previous boundary
+//!    (the page bitmap of [`ppm_pm::dirty`]). The flush cost follows the
+//!    epoch's write footprint, not the file size — which is what makes
+//!    frequent boundaries affordable (`exp_checkpoint_overhead` measures
+//!    this).
 //! 2. **A versioned checkpoint record** ([`ppm_pm::CheckpointRecord`]) in
 //!    the superblock page: sequence number, run epoch, capsule count, the
 //!    per-processor *stable pool watermarks*, and the quiesced **deque

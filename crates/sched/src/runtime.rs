@@ -369,6 +369,20 @@ mod tests {
         }
     }
 
+    #[test]
+    fn dropping_a_session_after_a_run_releases_its_memory() {
+        let rt =
+            Runtime::volatile(RuntimeConfig::new(PmConfig::parallel(2, 1 << 18)).with_slots(512));
+        let r = rt.machine().alloc_region(32);
+        assert!(rt.run_or_recover(&marker_comp(r, 16)).completed());
+        let mem = std::sync::Arc::downgrade(rt.machine().mem());
+        drop(rt);
+        assert!(
+            mem.upgrade().is_none(),
+            "the scheduler's closures kept the machine's memory alive"
+        );
+    }
+
     #[cfg(unix)]
     fn tmp(tag: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();

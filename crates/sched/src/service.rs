@@ -194,8 +194,12 @@ impl JobReport {
     /// Rescue or adoption re-claims this job survived: how many times
     /// the slot epoch was bumped past the publish epoch because a
     /// claimant was declared dead (0 = first claimant finished it).
+    ///
+    /// Slot epochs are 16 bits wide, so the count is their difference
+    /// modulo 2^16: exact across a wrap, as long as a job survives fewer
+    /// than 65,536 re-claims.
     pub fn rescues(&self) -> u64 {
-        self.claim_epoch.saturating_sub(self.ticket.epoch)
+        self.claim_epoch.wrapping_sub(self.ticket.epoch) & 0xFFFF
     }
 
     /// Total frontier entries adopted from dead shards (cluster-wide).
@@ -1226,5 +1230,33 @@ impl ServiceHandle {
             trace: Some(machine.obs().tracer().summary()),
             run: None,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn report(publish_epoch: u64, claim_epoch: u64) -> JobReport {
+        JobReport {
+            ticket: JobTicket {
+                slot: 0,
+                ticket: 1,
+                epoch: publish_epoch,
+            },
+            claimant: 0,
+            claim_epoch,
+            elapsed: Duration::ZERO,
+            cluster: None,
+        }
+    }
+
+    #[test]
+    fn rescues_count_across_the_epoch_wrap() {
+        assert_eq!(report(7, 7).rescues(), 0);
+        assert_eq!(report(7, 9).rescues(), 2);
+        // Published at the last 16-bit epoch, completed two bumps later.
+        assert_eq!(report(0xFFFF, 1).rescues(), 2);
+        assert_eq!(report(0xFFFF, 0xFFFF).rescues(), 0);
     }
 }
